@@ -69,6 +69,7 @@ struct ScalePoint
     bool ok = false;
     uint64_t events = 0;
     uint64_t ticks = 0;
+    uint64_t routerVisits = 0;  //!< mesh work, shard-independent
     double wallSec = 0;
     double eventsPerSec = 0;
     uint64_t sent = 0;
@@ -138,6 +139,7 @@ runPoint(unsigned nodes, unsigned shards_req,
 
     p.events = machine->engine().numProcessed();
     p.ticks = machine->curTick();
+    p.routerVisits = machine->mesh().routerVisits();
     p.eventsPerSec =
         p.wallSec > 0 ? static_cast<double>(p.events) / p.wallSec : 0;
     for (auto &g : gens) {
@@ -224,7 +226,8 @@ runScale(const exp::Context &ctx)
 
     TextTable tt;
     tt.header({"Nodes", "Pattern", "Shards", "Events", "Ticks",
-               "Wall (s)", "Mev/s", "Peak RSS", "B/event", "Result"});
+               "Router visits", "Wall (s)", "Mev/s", "Peak RSS",
+               "B/event", "Result"});
     char buf[64];
     for (const ScalePoint &p : points) {
         std::snprintf(buf, sizeof(buf), "%.3f", p.wallSec);
@@ -238,7 +241,8 @@ runScale(const exp::Context &ctx)
         std::string bpe = buf;
         tt.row({std::to_string(p.nodes), p.pattern,
                 std::to_string(p.shards), fmtK(double(p.events)),
-                std::to_string(p.ticks), wall, mevs, rss, bpe,
+                std::to_string(p.ticks), fmtK(double(p.routerVisits)),
+                wall, mevs, rss, bpe,
                 p.ok ? "ok" : "FAILED"});
     }
     tt.print(std::cout);
@@ -253,6 +257,7 @@ runScale(const exp::Context &ctx)
             << ",\"pattern\":\"" << p.pattern << "\",\"shards\":"
             << p.shards << ",\"ok\":" << (p.ok ? "true" : "false")
             << ",\"events\":" << p.events << ",\"ticks\":" << p.ticks
+            << ",\"routerVisits\":" << p.routerVisits
             << ",\"wallSec\":" << p.wallSec << ",\"eventsPerSec\":"
             << p.eventsPerSec << ",\"sent\":" << p.sent
             << ",\"drained\":" << p.drained << ",\"stallRetries\":"

@@ -1,5 +1,7 @@
 #include "noc/mesh.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 #include "common/trace.hh"
 
@@ -197,9 +199,8 @@ MeshNetwork::offer(NodeId src, const Message &msg)
     TCPNI_TRACE(NOC, "accept id=%llu at node %u for node %u",
                 static_cast<unsigned long long>(msg.traceId), src,
                 msg.dest());
-    q.push_back({msg, now, now});
+    land(src, Port::local, {msg, now, now, Port::local});
     ++injected_;
-    ++part.occupied;
     if (!part.tick.scheduled())
         part.eq->schedule(&part.tick, now + 1);
     return true;
@@ -211,21 +212,17 @@ MeshNetwork::idle() const
     return occupiedTotal() == 0;
 }
 
-bool
-MeshNetwork::hasWaiter(const RouterState &router, NodeId r, Port out,
-                       Tick now) const
+void
+MeshNetwork::land(NodeId r, Port in, InFlight m)
 {
-    for (unsigned in = 0; in < numPorts; ++in) {
-        const auto &q = router.inq[in];
-        if (q.empty())
-            continue;
-        const InFlight &head = q.front();
-        if (head.movedAt == now)
-            continue;
-        if (route(r, head.msg.dest()) == out)
-            return true;
-    }
-    return false;
+    RouterState &router = routers_[r];
+    m.want = route(r, m.msg.dest());
+    router.inq[static_cast<unsigned>(in)].push_back(std::move(m));
+    ++router.resident;
+    Partition &p = *parts_[partOf_[r]];
+    ++p.occupied;
+    const NodeId bit = r - p.firstRouter;
+    p.active[bit / 64] |= uint64_t{1} << (bit % 64);
 }
 
 void
@@ -236,114 +233,147 @@ MeshNetwork::tick(unsigned part_idx)
     // would read shard 0's, which may differ while another shard runs.
     const Tick now = part.eq->curTick();
 
-    for (NodeId r = part.firstRouter; r < part.endRouter; ++r) {
-        RouterState &router = routers_[r];
-        // Consider each output port in a fixed order; each forwards at
-        // most one message per cycle.
-        static const Port outputs[] = {Port::local, Port::north,
-                                       Port::south, Port::east,
-                                       Port::west};
-        for (Port out : outputs) {
-            unsigned out_idx = static_cast<unsigned>(out);
-            // Link serialization: a long message holds the port.
-            if (router.busyUntil[out_idx] > now) {
-                if (linkStats_ && hasWaiter(router, r, out, now))
-                    ++linkBlocked_[r * numPorts + out_idx];
-                continue;
-            }
-            bool moved_any = false;
-            bool contended = false;
-            // Round-robin over input ports for this output.
-            for (unsigned k = 0; k < numPorts; ++k) {
-                unsigned in_idx = (router.rr[out_idx] + k) % numPorts;
-                auto &q = router.inq[in_idx];
-                if (q.empty())
-                    continue;
-                InFlight &head = q.front();
-                // A message that already advanced this cycle (a router
-                // with a lower index pushed it downstream) must wait
-                // for the next cycle: one hop per cycle.
-                if (head.movedAt == now)
-                    continue;
-                if (route(r, head.msg.dest()) != out)
-                    continue;
-                contended = true;
-                const size_t head_len = head.msg.length();
-
-                bool moved = false;
-                if (out == Port::local) {
-                    if (deliver(head.msg)) {
-                        latency_.record(now - head.injectTick);
-                        TCPNI_TRACE(NOC, "eject id=%llu at node %u "
-                                    "(%llu cycles in fabric)",
-                                    static_cast<unsigned long long>(
-                                        head.msg.traceId), r,
-                                    static_cast<unsigned long long>(
-                                        now - head.injectTick));
-                        q.pop_front();
-                        --part.occupied;
-                        moved = true;
-                    }
-                } else {
-                    NodeId dst = neighbor(r, out);
-                    auto &dq = routers_[dst]
-                        .inq[static_cast<unsigned>(inputPortFor(out))];
-                    if (dq.size() < bufferDepth_) {
-                        InFlight m = std::move(head);
-                        q.pop_front();
-                        m.movedAt = now;
-                        if (auto *s = trace::sink())
-                            s->record(m.msg.traceId, trace::Stage::hop,
-                                      dst, now, m.msg.type);
-                        TCPNI_TRACE(NOC, "hop id=%llu node %u -> %u",
-                                    static_cast<unsigned long long>(
-                                        m.msg.traceId), r, dst);
-                        dq.push_back(std::move(m));
-                        const uint32_t pd = partOf_[dst];
-                        if (pd != part_idx) {
-                            // Cross-shard link push: hand the message
-                            // to the neighbour partition and wake its
-                            // tick one link latency later.
-                            --part.occupied;
-                            Partition &dp = *parts_[pd];
-                            ++dp.occupied;
-                            if (!dp.tick.scheduled())
-                                dp.eq->schedule(&dp.tick, now + 1);
-                            if (engine_)
-                                engine_->noteCrossShardPush();
-                        }
-                        moved = true;
-                    }
-                }
-                if (moved) {
-                    router.rr[out_idx] = (in_idx + 1) % numPorts;
-                    if (cyclesPerWord_ > 0) {
-                        router.busyUntil[out_idx] =
-                            now + static_cast<Tick>(cyclesPerWord_) *
-                                      head_len;
-                    }
-                    if (linkStats_) {
-                        const size_t li = r * numPorts + out_idx;
-                        ++linkXfers_[li];
-                        linkBusy_[li] +=
-                            cyclesPerWord_ > 0
-                                ? static_cast<uint64_t>(
-                                      cyclesPerWord_) * head_len
-                                : 1;
-                    }
-                    moved_any = true;
-                    break;
-                }
-            }
-            // A ready head wanted this output but nothing moved:
-            // charge one contention cycle to the link.
-            if (linkStats_ && contended && !moved_any)
-                ++linkBlocked_[r * numPorts + out_idx];
+    // Visit the active routers in ascending order, as a scan of every
+    // router would (an empty router has nothing to do).  A bit set
+    // during this tick belongs to a router whose messages all arrived
+    // this cycle and cannot move again before the next one, so each
+    // word is read once; a router it sets is visited next tick.
+    for (size_t w = 0; w < part.active.size(); ++w) {
+        for (uint64_t bits = part.active[w]; bits != 0;
+             bits &= bits - 1) {
+            const unsigned b = std::countr_zero(bits);
+            const NodeId r = part.firstRouter + w * 64 + b;
+            visit(part, part_idx, r, now);
+            if (routers_[r].resident == 0)
+                part.active[w] &= ~(uint64_t{1} << b);
         }
     }
 
     if (part.occupied > 0)
         part.eq->schedule(&part.tick, now + 1);
+}
+
+void
+MeshNetwork::visit(Partition &part, unsigned part_idx, NodeId r, Tick now)
+{
+    RouterState &router = routers_[r];
+    // Bit p is set while a head that has not advanced this cycle wants
+    // output p.  A move can expose a new ready head, so the mask grows
+    // as outputs are served; a set bit for an output not yet served
+    // always has its waiter.
+    unsigned wanted = 0;
+    auto note = [&](const FixedRing<InFlight> &q) {
+        if (!q.empty() && q.front().movedAt != now)
+            wanted |= 1u << static_cast<unsigned>(q.front().want);
+    };
+    for (const auto &q : router.inq)
+        note(q);
+    // Only messages that arrived this cycle: nothing here can move, and
+    // the visit is not counted (so the count is shard-independent).
+    if (wanted == 0)
+        return;
+    ++routerVisits_;
+
+    // Consider each output port in a fixed order; each forwards at
+    // most one message per cycle.
+    static const Port outputs[] = {Port::local, Port::north, Port::south,
+                                   Port::east, Port::west};
+    for (Port out : outputs) {
+        unsigned out_idx = static_cast<unsigned>(out);
+        if (!(wanted & (1u << out_idx)))
+            continue;
+        // Link serialization: a long message holds the port.
+        if (router.busyUntil[out_idx] > now) {
+            if (linkStats_)
+                ++linkBlocked_[r * numPorts + out_idx];
+            continue;
+        }
+        bool moved_any = false;
+        // Round-robin over input ports for this output.
+        for (unsigned k = 0; k < numPorts; ++k) {
+            unsigned in_idx = (router.rr[out_idx] + k) % numPorts;
+            auto &q = router.inq[in_idx];
+            if (q.empty())
+                continue;
+            InFlight &head = q.front();
+            // A message that already advanced this cycle (a router
+            // with a lower index pushed it downstream) must wait for
+            // the next cycle: one hop per cycle.
+            if (head.movedAt == now || head.want != out)
+                continue;
+            const size_t head_len = head.msg.length();
+
+            bool moved = false;
+            if (out == Port::local) {
+                if (deliver(head.msg)) {
+                    latency_.record(now - head.injectTick);
+                    TCPNI_TRACE(NOC, "eject id=%llu at node %u "
+                                "(%llu cycles in fabric)",
+                                static_cast<unsigned long long>(
+                                    head.msg.traceId), r,
+                                static_cast<unsigned long long>(
+                                    now - head.injectTick));
+                    q.pop_front();
+                    --router.resident;
+                    --part.occupied;
+                    moved = true;
+                }
+            } else {
+                NodeId dst = neighbor(r, out);
+                const Port in = inputPortFor(out);
+                if (routers_[dst].inq[static_cast<unsigned>(in)].size() <
+                    bufferDepth_) {
+                    InFlight m = std::move(head);
+                    q.pop_front();
+                    --router.resident;
+                    --part.occupied;
+                    m.movedAt = now;
+                    if (auto *s = trace::sink())
+                        s->record(m.msg.traceId, trace::Stage::hop, dst,
+                                  now, m.msg.type);
+                    TCPNI_TRACE(NOC, "hop id=%llu node %u -> %u",
+                                static_cast<unsigned long long>(
+                                    m.msg.traceId), r, dst);
+                    land(dst, in, std::move(m));
+                    const uint32_t pd = partOf_[dst];
+                    if (pd != part_idx) {
+                        // Cross-shard link push: the message is in the
+                        // neighbour partition; wake its tick one link
+                        // latency later.
+                        Partition &dp = *parts_[pd];
+                        if (!dp.tick.scheduled())
+                            dp.eq->schedule(&dp.tick, now + 1);
+                        if (engine_)
+                            engine_->noteCrossShardPush();
+                    }
+                    moved = true;
+                }
+            }
+            if (moved) {
+                note(q);
+                router.rr[out_idx] = (in_idx + 1) % numPorts;
+                if (cyclesPerWord_ > 0) {
+                    router.busyUntil[out_idx] =
+                        now + static_cast<Tick>(cyclesPerWord_) * head_len;
+                }
+                if (linkStats_) {
+                    const size_t li = r * numPorts + out_idx;
+                    ++linkXfers_[li];
+                    linkBusy_[li] +=
+                        cyclesPerWord_ > 0
+                            ? static_cast<uint64_t>(cyclesPerWord_) *
+                                  head_len
+                            : 1;
+                }
+                moved_any = true;
+                break;
+            }
+        }
+        // A ready head wanted this output but nothing moved: charge one
+        // contention cycle to the link.
+        if (linkStats_ && !moved_any)
+            ++linkBlocked_[r * numPorts + out_idx];
+    }
 }
 
 } // namespace tcpni

@@ -19,14 +19,24 @@
  * architecture interacts with: finite buffering with backpressure and
  * in-order delivery per source-destination pair.
  *
+ * Event-driven tick: a tick visits only the routers that hold
+ * messages.  Each partition keeps a bitmap of its non-empty routers
+ * and walks the set bits in ascending router order, the order of a
+ * full scan.  A router that gains its first message during a tick
+ * holds only messages that moved this cycle, which the movedAt rule
+ * (one hop per message per cycle) keeps in place until the next one,
+ * so visiting it then gives exactly the full scan's result.  A
+ * message's output port is routed once, when it lands on a router,
+ * and cached with it.
+ *
  * Sharding: the mesh can be split into row-contiguous partitions, one
- * per shard of a ShardedEngine.  Each partition ticks its own routers
- * on its own event queue; a hop whose downstream router belongs to a
- * different partition is a cross-shard link push -- it lands in the
- * neighbour partition's buffer, wakes that partition's tick event at
- * now + 1, and notifies the engine so any solo lookahead window
- * collapses.  Router buffers are fixed-capacity rings, so the
- * forwarding path performs no heap allocation.
+ * per shard of a ShardedEngine.  Each partition ticks its own active
+ * routers on its own event queue; a hop whose downstream router
+ * belongs to a different partition is a cross-shard link push -- it
+ * lands in the neighbour partition's buffer and bitmap, wakes that
+ * partition's tick event at now + 1, and notifies the engine so any
+ * solo lookahead window collapses.  Router buffers are fixed-capacity
+ * rings, so the forwarding path performs no heap allocation.
  */
 
 #ifndef TCPNI_NOC_MESH_HH
@@ -94,6 +104,11 @@ class MeshNetwork : public Network
     /** Messages resident in router buffers, all partitions. */
     uint64_t occupiedTotal() const;
 
+    /** Router visits made by tick(), all partitions: one per router
+     *  per cycle in which it holds a message that can move.  The
+     *  mesh's work, independent of the shard count. */
+    uint64_t routerVisits() const { return routerVisits_; }
+
   private:
     static constexpr unsigned numPorts = 5;
 
@@ -107,6 +122,7 @@ class MeshNetwork : public Network
         Message msg;
         Tick injectTick;    //!< when the message entered the fabric
         Tick movedAt;       //!< last cycle this message advanced a hop
+        Port want;          //!< output port at the current router
     };
 
     struct RouterState
@@ -116,6 +132,8 @@ class MeshNetwork : public Network
         unsigned rr[numPorts] = {0, 0, 0, 0, 0};
         // Link serialization: the output port is busy until this tick.
         Tick busyUntil[numPorts] = {0, 0, 0, 0, 0};
+        // Messages in inq[], all ports.
+        unsigned resident = 0;
     };
 
     class TickEvent : public Event
@@ -133,33 +151,33 @@ class MeshNetwork : public Network
     };
 
     /** One row-contiguous shard of the mesh: routers
-     *  [firstRouter, endRouter) ticking on their own queue. */
+     *  [first, end) ticking on their own queue. */
     struct Partition
     {
         Partition(MeshNetwork &net, unsigned idx, EventQueue &q,
                   NodeId first, NodeId end)
             : tick(net, idx), eq(&q), firstRouter(first),
-              endRouter(end)
+              active((end - first + 63) / 64, 0)
         {}
 
         TickEvent tick;
         EventQueue *eq;
         NodeId firstRouter;
-        NodeId endRouter;
         uint64_t occupied = 0; //!< messages buffered in this partition
+        /** Bit r - firstRouter is set while router r holds messages. */
+        std::vector<uint64_t> active;
     };
 
     void initPartitions(const ShardPlan &plan, ShardedEngine *engine);
     void registerMetrics();
 
     void tick(unsigned part);
+    /** One router's arbitration for this cycle (the body of tick). */
+    void visit(Partition &part, unsigned part_idx, NodeId r, Tick now);
+    /** Buffer @p m in router @p r's input @p in, routing it there. */
+    void land(NodeId r, Port in, InFlight m);
     NodeId neighbor(NodeId here, Port out) const;
     static Port inputPortFor(Port out);
-
-    /** True when some head wants output @p out of router @p r and has
-     *  not already advanced this cycle (link-contention accounting). */
-    bool hasWaiter(const RouterState &router, NodeId r, Port out,
-                   Tick now) const;
 
     unsigned width_, height_, bufferDepth_;
     unsigned cyclesPerWord_;
@@ -172,6 +190,7 @@ class MeshNetwork : public Network
     ShardedEngine *engine_ = nullptr;
 
     uint64_t injected_ = 0;
+    uint64_t routerVisits_ = 0;
     metrics::Histogram latency_;
 
     /** @{ Per-link accounting (index router * numPorts + port),

@@ -1,5 +1,6 @@
 #include "sim/experiment.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -82,7 +83,20 @@ Context::str(const std::string &flag) const
 long
 Context::num(const std::string &flag) const
 {
-    return std::atol(str(flag).c_str());
+    // Every caller casts to an unsigned type, so a negative value
+    // would wrap (--msgs -1 asked for ~4G messages and hung).
+    const std::string &v = str(flag);
+    char *end = nullptr;
+    errno = 0;
+    const long n = std::strtol(v.c_str(), &end, 10);
+    if (v.empty() || *end != '\0' || errno == ERANGE || n < 0) {
+        std::fprintf(stderr,
+                     "%s: invalid value '%s' (want a non-negative "
+                     "integer)\n",
+                     flag.c_str(), v.c_str());
+        std::exit(1);
+    }
+    return n;
 }
 
 bool

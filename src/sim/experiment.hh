@@ -85,6 +85,9 @@ class Context
 
     /** Parameter value by flag (e.g. "--n"); default when unset. */
     const std::string &str(const std::string &flag) const;
+    /** Non-negative integer parameter.  An empty, non-numeric,
+     *  negative or overflowing value is a usage error: it is reported
+     *  with the flag's name and the process exits with status 1. */
     long num(const std::string &flag) const;
     bool on(const std::string &flag) const;     //!< switch given?
 

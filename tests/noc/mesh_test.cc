@@ -285,3 +285,163 @@ TEST(MeshSerialization, DefaultIsMessageGranularity)
     eq.run();
     EXPECT_LE(eq.curTick(), 5u);
 }
+
+namespace
+{
+
+/** Every node accepts; sink s's arrivals are recorded in order. */
+void
+sinkAll(MeshNetwork &mesh, std::vector<Collector> &cs)
+{
+    cs.resize(mesh.numNodes());
+    for (NodeId n = 0; n < mesh.numNodes(); ++n)
+        mesh.setSink(n, cs[n].sink());
+}
+
+} // namespace
+
+TEST(MeshEventDriven, RouterVisitsPerHop)
+{
+    // The tick visits only routers holding a message that can move
+    // this cycle.  On an idle 16x16 mesh a message crossing k hops is
+    // visited once per tick, k hops plus the ejection: k + 1 visits,
+    // whichever way it goes.  A full scan would make 256 visits per
+    // tick.  Toward higher indices (east, then south) each hop lands
+    // ahead of the cursor, in a router with nothing ready until the
+    // next tick.
+    for (bool up : {false, true}) {
+        EventQueue eq;
+        MeshNetwork mesh("mesh", eq, 16, 16);
+        std::vector<Collector> cs;
+        sinkAll(mesh, cs);
+        const unsigned k = 30;     // corner to corner
+        const NodeId src = up ? 0 : 255, dst = up ? 255 : 0;
+        ASSERT_TRUE(mesh.offer(src, makeMsg(dst)));
+        eq.run();
+        ASSERT_EQ(cs[dst].got.size(), 1u) << up;
+        EXPECT_EQ(mesh.routerVisits(), k + 1) << up;
+        EXPECT_EQ(mesh.latencyDist().max(), k + 1) << up;
+    }
+}
+
+TEST(MeshEventDriven, RowSpansBitmapWordBoundary)
+{
+    // 80 routers per row, so rows straddle bitmap words: routers
+    // 63|64 (row 0) and 127|128 (row 1) sit in different words.
+    // Eastward a hop across the seam sets a bit in the next word,
+    // which the same tick reaches; westward it sets a bit behind the
+    // cursor, picked up on the next tick.  Either way a message takes
+    // exactly hops + 1 cycles and hops + 1 visits.
+    for (bool east : {true, false}) {
+        EventQueue eq;
+        MeshNetwork mesh("mesh", eq, 80, 2);
+        std::vector<Collector> cs;
+        sinkAll(mesh, cs);
+        const unsigned hops = 11;
+        const NodeId lo[] = {58, 122}, hi[] = {69, 133};
+        for (unsigned i = 0; i < 2; ++i) {
+            ASSERT_TRUE(mesh.offer(east ? lo[i] : hi[i],
+                                   makeMsg(east ? hi[i] : lo[i])));
+        }
+        eq.run();
+        for (unsigned i = 0; i < 2; ++i)
+            EXPECT_EQ(cs[east ? hi[i] : lo[i]].got.size(), 1u) << east;
+        EXPECT_EQ(mesh.latencyDist().count(), 2u);
+        EXPECT_EQ(mesh.latencyDist().min(), hops + 1) << east;
+        EXPECT_EQ(mesh.latencyDist().max(), hops + 1) << east;
+        EXPECT_EQ(mesh.routerVisits(), 2 * (hops + 1)) << east;
+        EXPECT_TRUE(mesh.idle());
+    }
+}
+
+TEST(MeshEventDriven, DrainedRouterRefilledSameTick)
+{
+    // Tick 1: router 1 forwards its only message west and drains, so
+    // its bit clears; then router 2, visited later in the same tick,
+    // pushes a message into router 1.  Router 1 must be visited again
+    // on tick 2, or that message would be stranded.
+    EventQueue eq;
+    MeshNetwork mesh("mesh", eq, 4, 1);
+    std::vector<Collector> cs;
+    sinkAll(mesh, cs);
+    ASSERT_TRUE(mesh.offer(1, makeMsg(0, 1)));
+    ASSERT_TRUE(mesh.offer(2, makeMsg(0, 2)));
+    eq.run(1);
+    EXPECT_EQ(mesh.queueDepth(0, MeshNetwork::Port::east), 1u);
+    EXPECT_EQ(mesh.queueDepth(1, MeshNetwork::Port::east), 1u);
+    // Bounded: a stranded message would keep the tick alive forever.
+    eq.run(50);
+    ASSERT_EQ(cs[0].got.size(), 2u);
+    EXPECT_EQ(cs[0].got[0].words[1], 1u);
+    EXPECT_EQ(cs[0].got[1].words[1], 2u);
+    EXPECT_EQ(mesh.latencyDist().min(), 2u);   // 1 hop
+    EXPECT_EQ(mesh.latencyDist().max(), 3u);   // 2 hops
+    EXPECT_TRUE(mesh.idle());
+}
+
+TEST(MeshEventDriven, UnalignedPartitionsMatchOneShard)
+{
+    // A 24x6 mesh at 4 shards: partitions start at routers 0, 48, 72
+    // and 120, so three of them begin mid-word in global router
+    // numbering.
+    // Each partition's bitmap is indexed from its own first router;
+    // the run must match one shard exactly.
+    struct Run
+    {
+        std::vector<std::vector<Word>> arrivals;
+        std::vector<uint64_t> buckets;
+        uint64_t count, sum, min, max, delivered, visits;
+    };
+    auto run = [](unsigned shards) {
+        const unsigned w = 24, h = 6, n = w * h;
+        ShardedEngine engine(shards);
+        MeshNetwork mesh("mesh", engine, ShardPlan::rows(w, h, shards),
+                         /*buffer_depth=*/2);
+        std::vector<Collector> cs;
+        sinkAll(mesh, cs);
+        // Node 0 refuses every other delivery, backing traffic up.
+        unsigned calls = 0;
+        mesh.setSink(0, [&cs, &calls](const Message &m) {
+            if (++calls % 2)
+                return false;
+            cs[0].got.push_back(m);
+            return true;
+        });
+        uint64_t x = 12345;
+        for (NodeId s = 0; s < n; ++s) {
+            for (Word k = 0; k < 2; ++k) {
+                x = x * 6364136223846793005ull + 1442695040888963407ull;
+                const NodeId d = (x >> 33) % 4 == 0 ? 0 : (x >> 40) % n;
+                EXPECT_TRUE(mesh.offer(s, makeMsg(d, s * 2 + k)));
+            }
+        }
+        engine.run();
+        Run r;
+        for (const Collector &c : cs) {
+            r.arrivals.emplace_back();
+            for (const Message &m : c.got)
+                r.arrivals.back().push_back(m.words[1]);
+        }
+        const auto &lat = mesh.latencyDist();
+        r.buckets = lat.buckets();
+        r.count = lat.count();
+        r.sum = lat.sum();
+        r.min = lat.min();
+        r.max = lat.max();
+        r.delivered = mesh.delivered();
+        r.visits = mesh.routerVisits();
+        EXPECT_TRUE(mesh.idle());
+        return r;
+    };
+    const Run one = run(1), four = run(4);
+    EXPECT_EQ(one.delivered, 24u * 6 * 2);
+    EXPECT_EQ(four.delivered, one.delivered);
+    EXPECT_EQ(four.count, one.count);
+    EXPECT_EQ(four.sum, one.sum);
+    EXPECT_EQ(four.min, one.min);
+    EXPECT_EQ(four.max, one.max);
+    EXPECT_EQ(four.buckets, one.buckets);
+    EXPECT_EQ(four.arrivals, one.arrivals);
+    // The work counter does not depend on the shard count either.
+    EXPECT_EQ(four.visits, one.visits);
+}
