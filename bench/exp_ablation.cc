@@ -67,7 +67,7 @@ hybrid(const tam::CommCosts &basic, const tam::CommCosts &opt,
 int
 runAblation(const exp::Context &ctx)
 {
-    unsigned n = static_cast<unsigned>(ctx.num("--n"));
+    unsigned n = ctx.u32("--n");
 
     std::cout << "Optimization ablation on " << n << "x" << n
               << " Matrix Multiply (cycles; lower is better)\n";

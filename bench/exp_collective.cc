@@ -299,36 +299,14 @@ runPhase(const ni::Model &model, unsigned nodes, unsigned arity,
     return r;
 }
 
-std::vector<unsigned>
-parseSizes(const std::string &csv)
-{
-    std::vector<unsigned> sizes;
-    std::istringstream is(csv);
-    std::string item;
-    while (std::getline(is, item, ',')) {
-        if (item.empty())
-            continue;
-        long v = std::stol(item);
-        if (v < 2)
-            fatal("exp_collective: --sizes entries must be >= 2 "
-                  "(driver + participants), got %ld", v);
-        sizes.push_back(static_cast<unsigned>(v));
-    }
-    if (sizes.empty())
-        fatal("exp_collective: --sizes parsed empty");
-    return sizes;
-}
-
 int
 runCollective(const exp::Context &ctx)
 {
-    const std::vector<unsigned> sizes =
-        parseSizes(ctx.str("--sizes"));
-    const unsigned arity = static_cast<unsigned>(ctx.num("--arity"));
+    const std::vector<unsigned> sizes = ctx.u32List("--sizes", 2);
+    const unsigned arity = ctx.u32("--arity");
     if (arity < 1)
         fatal("exp_collective: --arity must be >= 1");
-    const unsigned shards =
-        static_cast<unsigned>(ctx.num("--shards"));
+    const unsigned shards = ctx.u32("--shards");
     if (shards < 1)
         fatal("exp_collective: --shards must be >= 1");
 

@@ -178,8 +178,8 @@ writeJson(std::ostream &os, unsigned n, unsigned particles,
 int
 runFigure12(const exp::Context &ctx)
 {
-    unsigned n = static_cast<unsigned>(ctx.num("--n"));
-    unsigned particles = static_cast<unsigned>(ctx.num("--particles"));
+    unsigned n = ctx.u32("--n");
+    unsigned particles = ctx.u32("--particles");
     Cycles offchip = static_cast<Cycles>(ctx.num("--offchip-delay"));
 
     const auto &infos = ni::registeredModels();

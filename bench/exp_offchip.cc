@@ -30,7 +30,7 @@ namespace
 int
 runOffchipLatency(const exp::Context &ctx)
 {
-    unsigned n = static_cast<unsigned>(ctx.num("--n"));
+    unsigned n = ctx.u32("--n");
 
     std::cout << "Off-chip read-latency sensitivity (Section 4.2.3), "
               << n << "x" << n << " Matrix Multiply\n";

@@ -202,8 +202,8 @@ runModel(const ni::Model &model, unsigned flood, unsigned elems)
 int
 runOnNi(const exp::Context &ctx)
 {
-    unsigned flood = static_cast<unsigned>(ctx.num("--flood"));
-    unsigned elems = static_cast<unsigned>(ctx.num("--elems"));
+    unsigned flood = ctx.u32("--flood");
+    unsigned elems = ctx.u32("--elems");
 
     const auto &infos = ni::registeredModels();
     std::cout << "On-NI occupancy: the congestion workload (" << flood

@@ -161,34 +161,12 @@ runPoint(unsigned nodes, unsigned shards_req,
     return p;
 }
 
-std::vector<unsigned>
-parseSizes(const std::string &csv)
-{
-    std::vector<unsigned> sizes;
-    std::istringstream is(csv);
-    std::string item;
-    while (std::getline(is, item, ',')) {
-        if (item.empty())
-            continue;
-        long v = std::stol(item);
-        if (v < 2)
-            fatal("exp_scale: --sizes entries must be >= 2, got %ld",
-                  v);
-        sizes.push_back(static_cast<unsigned>(v));
-    }
-    if (sizes.empty())
-        fatal("exp_scale: --sizes parsed empty");
-    return sizes;
-}
-
 int
 runScale(const exp::Context &ctx)
 {
-    const std::vector<unsigned> sizes = parseSizes(ctx.str("--sizes"));
-    const unsigned shards =
-        static_cast<unsigned>(ctx.num("--shards"));
-    const unsigned hotspot =
-        static_cast<unsigned>(ctx.num("--hotspot-permille"));
+    const std::vector<unsigned> sizes = ctx.u32List("--sizes", 2);
+    const unsigned shards = ctx.u32("--shards");
+    const unsigned hotspot = ctx.u32("--hotspot-permille");
     sys::TrafficConfig tc;
     tc.messages = static_cast<uint64_t>(ctx.num("--msgs"));
     tc.meanGap = static_cast<Tick>(ctx.num("--gap"));

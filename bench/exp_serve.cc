@@ -246,12 +246,11 @@ parsePolicies(const std::string &csv)
 int
 runServeExp(const exp::Context &ctx)
 {
-    const unsigned width = static_cast<unsigned>(ctx.num("--width"));
-    const unsigned height = static_cast<unsigned>(ctx.num("--height"));
+    const unsigned width = ctx.u32("--width");
+    const unsigned height = ctx.u32("--height");
     if (width < 1 || height < 1 || width * height < 2)
         fatal("exp_serve: mesh must have at least 2 nodes");
-    const unsigned shards =
-        static_cast<unsigned>(ctx.num("--shards"));
+    const unsigned shards = ctx.u32("--shards");
     if (shards < 1)
         fatal("exp_serve: --shards must be >= 1");
     const Tick max_ticks = static_cast<Tick>(ctx.num("--max-ticks"));
@@ -268,16 +267,13 @@ runServeExp(const exp::Context &ctx)
         static_cast<Tick>(ctx.num("--incast-gap"));
 
     transport::TransportConfig xc;
-    xc.window = static_cast<unsigned>(ctx.num("--window"));
-    xc.paceRate = static_cast<unsigned>(ctx.num("--pace-rate"));
-    xc.paceBurst = static_cast<unsigned>(ctx.num("--pace-burst"));
-    xc.paceAiStep = static_cast<unsigned>(ctx.num("--pace-ai-step"));
-    xc.paceAiInterval =
-        static_cast<unsigned>(ctx.num("--pace-ai-interval"));
-    xc.paceAiHoldoff =
-        static_cast<unsigned>(ctx.num("--pace-ai-holdoff"));
-    const unsigned oafull_threshold =
-        static_cast<unsigned>(ctx.num("--oafull-threshold"));
+    xc.window = ctx.u32("--window");
+    xc.paceRate = ctx.u32("--pace-rate");
+    xc.paceBurst = ctx.u32("--pace-burst");
+    xc.paceAiStep = ctx.u32("--pace-ai-step");
+    xc.paceAiInterval = ctx.u32("--pace-ai-interval");
+    xc.paceAiHoldoff = ctx.u32("--pace-ai-holdoff");
+    const unsigned oafull_threshold = ctx.u32("--oafull-threshold");
 
     const std::vector<Scenario> scenarios =
         parseScenarios(ctx.str("--scenarios"));

@@ -3,10 +3,6 @@
  * The unified experiment driver: `tcpni_bench <experiment> [flags]`
  * runs any registered experiment with shared --jobs/--json/--trace
  * handling; `tcpni_bench list` shows what is registered.
- *
- * Compiled with -DTCPNI_WRAPPER="<name>" the same main becomes that
- * experiment's fixed-entry compatibility wrapper (the `table1`,
- * `figure12`, ... binaries).
  */
 
 #include "experiments.hh"
@@ -16,10 +12,5 @@ main(int argc, char **argv)
 {
     tcpni::exp::ExperimentRegistry reg;
     tcpni::bench::registerAll(reg);
-#ifdef TCPNI_WRAPPER
-    return tcpni::exp::runExperiment(reg, TCPNI_WRAPPER, argc - 1,
-                                     argv + 1);
-#else
     return tcpni::exp::driverMain(reg, argc, argv);
-#endif
 }

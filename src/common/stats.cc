@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <iomanip>
-#include <sstream>
 
 #include "common/logging.hh"
 
@@ -106,110 +104,6 @@ Distribution::reset()
     sum_ = squares_ = min_ = max_ = 0;
 }
 
-void
-StatGroup::addScalar(const std::string &name, const Scalar *stat,
-                     const std::string &desc)
-{
-    entries_.push_back({name, {Entry::Kind::scalar, stat, desc}});
-}
-
-void
-StatGroup::addVector(const std::string &name, const Vector *stat,
-                     const std::string &desc)
-{
-    entries_.push_back({name, {Entry::Kind::vector, stat, desc}});
-}
-
-void
-StatGroup::addDistribution(const std::string &name, const Distribution *stat,
-                           const std::string &desc)
-{
-    entries_.push_back({name, {Entry::Kind::dist, stat, desc}});
-}
-
-void
-StatGroup::addTimeWeighted(const std::string &name,
-                           const TimeWeighted *stat,
-                           const std::string &desc)
-{
-    entries_.push_back({name, {Entry::Kind::timeWeighted, stat, desc}});
-}
-
-void
-StatGroup::addHistogram(const std::string &name,
-                        const metrics::Histogram *stat,
-                        const std::string &desc)
-{
-    entries_.push_back({name, {Entry::Kind::histogram, stat, desc}});
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    auto line = [&](const std::string &stat_name, const std::string &value,
-                    const std::string &desc) {
-        os << std::left << std::setw(40) << (name_ + "." + stat_name)
-           << " " << std::right << std::setw(16) << value;
-        if (!desc.empty())
-            os << "  # " << desc;
-        os << '\n';
-    };
-
-    for (const auto &[stat_name, entry] : entries_) {
-        switch (entry.kind) {
-          case Entry::Kind::scalar: {
-            auto *s = static_cast<const Scalar *>(entry.stat);
-            line(stat_name, std::to_string(s->value()), entry.desc);
-            break;
-          }
-          case Entry::Kind::vector: {
-            auto *v = static_cast<const Vector *>(entry.stat);
-            for (size_t i = 0; i < v->size(); ++i) {
-                line(stat_name + "[" + std::to_string(i) + "]",
-                     std::to_string(v->at(i)), entry.desc);
-            }
-            line(stat_name + ".total", std::to_string(v->total()),
-                 entry.desc);
-            break;
-          }
-          case Entry::Kind::dist: {
-            auto *d = static_cast<const Distribution *>(entry.stat);
-            line(stat_name + ".count", std::to_string(d->count()),
-                 entry.desc);
-            std::ostringstream mean_ss;
-            mean_ss << std::fixed << std::setprecision(3) << d->mean();
-            line(stat_name + ".mean", mean_ss.str(), entry.desc);
-            break;
-          }
-          case Entry::Kind::timeWeighted: {
-            auto *t = static_cast<const TimeWeighted *>(entry.stat);
-            std::ostringstream avg_ss;
-            avg_ss << std::fixed << std::setprecision(3) << t->avg();
-            line(stat_name + ".avg", avg_ss.str(), entry.desc);
-            line(stat_name + ".max", std::to_string(t->max()),
-                 entry.desc);
-            break;
-          }
-          case Entry::Kind::histogram: {
-            auto *h = static_cast<const metrics::Histogram *>(
-                entry.stat);
-            line(stat_name + ".count", std::to_string(h->count()),
-                 entry.desc);
-            std::ostringstream mean_ss;
-            mean_ss << std::fixed << std::setprecision(3) << h->mean();
-            line(stat_name + ".mean", mean_ss.str(), entry.desc);
-            line(stat_name + ".p50",
-                 std::to_string(h->percentile(0.50)), entry.desc);
-            line(stat_name + ".p99",
-                 std::to_string(h->percentile(0.99)), entry.desc);
-            line(stat_name + ".max", std::to_string(h->max()),
-                 entry.desc);
-            break;
-          }
-        }
-    }
-}
-
 std::string
 jsonNum(double v)
 {
@@ -219,23 +113,6 @@ jsonNum(double v)
     std::snprintf(buf, sizeof(buf), "%.10g", v);
     return buf;
 }
-
-namespace
-{
-
-/** Render a double as JSON at the stats dumps' 6-digit precision
- *  (finite guard; NaN/inf become 0). */
-std::string
-statNum(double v)
-{
-    if (!std::isfinite(v))
-        return "0";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
-}
-
-} // namespace
 
 std::string
 jsonEscape(const std::string &s)
@@ -260,70 +137,6 @@ jsonEscape(const std::string &s)
         }
     }
     return out;
-}
-
-void
-StatGroup::dumpJson(std::ostream &os) const
-{
-    os << "{\"name\":\"" << jsonEscape(name_) << "\",\"stats\":{";
-    bool first = true;
-    for (const auto &[stat_name, entry] : entries_) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\"" << jsonEscape(stat_name) << "\":";
-        switch (entry.kind) {
-          case Entry::Kind::scalar: {
-            auto *s = static_cast<const Scalar *>(entry.stat);
-            os << s->value();
-            break;
-          }
-          case Entry::Kind::vector: {
-            auto *v = static_cast<const Vector *>(entry.stat);
-            os << "{\"values\":[";
-            for (size_t i = 0; i < v->size(); ++i)
-                os << (i ? "," : "") << v->at(i);
-            os << "],\"total\":" << v->total() << "}";
-            break;
-          }
-          case Entry::Kind::dist: {
-            auto *d = static_cast<const Distribution *>(entry.stat);
-            os << "{\"count\":" << d->count()
-               << ",\"mean\":" << statNum(d->mean())
-               << ",\"stddev\":" << statNum(d->stddev())
-               << ",\"min\":" << statNum(d->min())
-               << ",\"max\":" << statNum(d->max())
-               << ",\"underflow\":" << d->underflow()
-               << ",\"overflow\":" << d->overflow()
-               << ",\"buckets\":[";
-            const auto &b = d->buckets();
-            for (size_t i = 0; i < b.size(); ++i)
-                os << (i ? "," : "") << b[i];
-            os << "]}";
-            break;
-          }
-          case Entry::Kind::timeWeighted: {
-            auto *t = static_cast<const TimeWeighted *>(entry.stat);
-            os << "{\"avg\":" << statNum(t->avg())
-               << ",\"max\":" << t->max() << "}";
-            break;
-          }
-          case Entry::Kind::histogram: {
-            auto *h = static_cast<const metrics::Histogram *>(
-                entry.stat);
-            os << "{\"count\":" << h->count()
-               << ",\"mean\":" << statNum(h->mean())
-               << ",\"min\":" << h->min()
-               << ",\"max\":" << h->max()
-               << ",\"p50\":" << h->percentile(0.50)
-               << ",\"p90\":" << h->percentile(0.90)
-               << ",\"p99\":" << h->percentile(0.99)
-               << ",\"p999\":" << h->percentile(0.999) << "}";
-            break;
-          }
-        }
-    }
-    os << "}}";
 }
 
 } // namespace stats

@@ -238,6 +238,7 @@ Table1Harness::runServer(const std::vector<Message> &msgs,
         auto regions = hpu1.regionCycles();
         for (const auto &[key, cycles] : cpu1.regionCycles())
             regions[key] += cycles;
+        metrics::snapshot(eq, eq.curTick());
         return RunResult{regions};
     }
 
@@ -252,6 +253,7 @@ Table1Harness::runServer(const std::vector<Message> &msgs,
     cpu1.start();
     eq.run();
     tcpni_assert(cpu1.halted());
+    metrics::snapshot(eq, eq.curTick());
 
     return RunResult{cpu1.regionCycles()};
 }
@@ -277,6 +279,7 @@ Table1Harness::runSender(Kind kind, unsigned count)
     eq.run();
     tcpni_assert(cpu0.halted());
     tcpni_assert(ni1.numReceived() == count);
+    metrics::snapshot(eq, eq.curTick());
 
     return RunResult{cpu0.regionCycles()};
 }

@@ -24,29 +24,15 @@ Cpu::Cpu(std::string name, EventQueue &eq, Memory &mem,
         });
     }
 
-    if (auto *r = metrics::registry()) {
-        mgroup_ = r->addGroup(this->name(), eq);
-        mgroup_->addCounter("instructions",
-                            [this] { return instructions_; },
-                            "instructions retired");
-        mgroup_->addCounter("cycles", [this] { return cycles_; },
-                            "cycles consumed (issue + stalls)");
-        mgroup_->addCounter("stall_cycles",
-                            [this] { return stallCycles_; },
-                            "load-use interlock stall cycles");
-        mgroup_->addCounter("ni_stall_cycles",
-                            [this] { return niStallCycles_; },
-                            "cycles stalled on NI SEND (full queue)");
-        mgroup_->addCounter("interrupts_taken",
-                            [this] { return interruptsTaken_; },
-                            "message-arrival interrupts taken");
-    }
-}
-
-Cpu::~Cpu()
-{
-    if (mgroup_)
-        mgroup_->retire();
+    metrics::Group &g = stats();
+    g.addCounter("instructions", &instructions_, "instructions retired");
+    g.addCounter("cycles", &cycles_, "cycles consumed (issue + stalls)");
+    g.addCounter("stall_cycles", &stallCycles_,
+                 "load-use interlock stall cycles");
+    g.addCounter("ni_stall_cycles", &niStallCycles_,
+                 "cycles stalled on NI SEND (full queue)");
+    g.addCounter("interrupts_taken", &interruptsTaken_,
+                 "message-arrival interrupts taken");
 }
 
 void

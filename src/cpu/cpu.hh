@@ -83,7 +83,6 @@ class Cpu : public SimObject
      */
     Cpu(std::string name, EventQueue &eq, Memory &mem,
         ni::NetworkInterface *ni, CpuConfig config = {});
-    ~Cpu() override;
 
     /** Copy a program image into memory and adopt its cost regions. */
     void loadProgram(const isa::Program &prog);
@@ -176,10 +175,6 @@ class Cpu : public SimObject
     std::vector<uint64_t> regionInsts_{0};
 
     TickEvent tickEvent_;
-
-    /** Telemetry group; null unless a metrics registry was installed
-     *  when this CPU was constructed. */
-    std::shared_ptr<metrics::Group> mgroup_;
 };
 
 } // namespace tcpni

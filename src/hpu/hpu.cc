@@ -26,41 +26,23 @@ Hpu::Hpu(std::string name, EventQueue &eq, Memory &mem,
     // input registers directly.  Interrupt-driven reception remains a
     // host-CPU facility.
 
-    if (auto *r = metrics::registry()) {
-        mgroup_ = r->addGroup(this->name(), eq);
-        mgroup_->addCounter("instructions",
-                            [this] { return instructions_; },
-                            "instructions retired");
-        mgroup_->addCounter("cycles", [this] { return cycles_; },
-                            "cycles consumed (issue + stalls)");
-        mgroup_->addCounter("stall_cycles",
-                            [this] { return stallCycles_; },
-                            "load-use interlock stall cycles");
-        mgroup_->addCounter("ni_stall_cycles",
-                            [this] { return niStallCycles_; },
-                            "cycles stalled on NI SEND (full queue)");
-        mgroup_->addCounter("handlers_run",
-                            [this] { return handlersRun_; },
-                            "handler activations completed");
-        mgroup_->addCounter("handler_busy_cycles",
-                            [this] { return handlerBusyCycles_; },
-                            "cycles inside handler activations");
-        mgroup_->addCounter("budget_overruns",
-                            [this] { return budgetOverruns_; },
-                            "activations over the handler budget");
-        mgroup_->addCounter("host_proxies",
-                            [this] { return hostProxies_; },
-                            "messages escaped to the host ring");
-        mgroup_->addGauge("max_handler_cycles",
-                          [this] { return maxHandlerCycles_; },
-                          "longest handler activation (cycles)");
-    }
-}
-
-Hpu::~Hpu()
-{
-    if (mgroup_)
-        mgroup_->retire();
+    metrics::Group &g = stats();
+    g.addCounter("instructions", &instructions_, "instructions retired");
+    g.addCounter("cycles", &cycles_, "cycles consumed (issue + stalls)");
+    g.addCounter("stall_cycles", &stallCycles_,
+                 "load-use interlock stall cycles");
+    g.addCounter("ni_stall_cycles", &niStallCycles_,
+                 "cycles stalled on NI SEND (full queue)");
+    g.addCounter("handlers_run", &handlersRun_,
+                 "handler activations completed");
+    g.addCounter("handler_busy_cycles", &handlerBusyCycles_,
+                 "cycles inside handler activations");
+    g.addCounter("budget_overruns", &budgetOverruns_,
+                 "activations over the handler budget");
+    g.addCounter("host_proxies", &hostProxies_,
+                 "messages escaped to the host ring");
+    g.addGauge("max_handler_cycles", &maxHandlerCycles_,
+               "longest handler activation (cycles)");
 }
 
 void

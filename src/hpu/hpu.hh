@@ -97,7 +97,6 @@ class Hpu : public SimObject
   public:
     Hpu(std::string name, EventQueue &eq, Memory &mem,
         ni::NetworkInterface &ni, HpuConfig config = {});
-    ~Hpu() override;
 
     /** Copy a program image into memory and adopt its cost regions. */
     void loadProgram(const isa::Program &prog);
@@ -233,10 +232,6 @@ class Hpu : public SimObject
     std::vector<uint64_t> regionInsts_{0};
 
     TickEvent tickEvent_;
-
-    /** Telemetry group; null unless a metrics registry was installed
-     *  when this HPU was constructed. */
-    std::shared_ptr<metrics::Group> mgroup_;
 };
 
 } // namespace tcpni

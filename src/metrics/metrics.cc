@@ -1,6 +1,9 @@
 #include "metrics/metrics.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <iomanip>
 
 #include "common/stats.hh"
 #include "metrics/sampler.hh"
@@ -30,69 +33,152 @@ setRegistry(Registry *r)
     tl_registry = r;
 }
 
+void
+snapshot(const EventQueue &eq, Tick now)
+{
+    if (tl_registry)
+        tl_registry->snapshot(eq.queueId(), now);
+}
+
+// --------------------------------------------------------------- Series
+
+uint64_t
+Series::value(Tick now) const
+{
+    switch (kind) {
+      case Kind::counter:
+      case Kind::gauge:
+        return *static_cast<const uint64_t *>(src);
+      case Kind::integral:
+        return static_cast<const Integral *>(src)->at(now);
+      case Kind::histogram:
+        return hist().count();
+    }
+    return 0;
+}
+
 // ---------------------------------------------------------------- Group
 
-void
-Group::add(Kind kind, const std::string &name,
-           std::function<uint64_t()> read, const Histogram *hist,
-           const std::string &desc)
+Group::~Group()
 {
-    Series s;
-    s.kind = kind;
-    s.name = name;
-    s.desc = desc;
-    s.id = owner_->internSeries(name_ + "." + name);
-    s.read = std::move(read);
-    s.live = hist;
-    series_.push_back(std::move(s));
+    if (reg_)
+        reg_->unlink(record_);
 }
 
 void
-Group::addCounter(const std::string &name,
-                  std::function<uint64_t()> read,
-                  const std::string &desc)
+Group::attach(std::string name, EventQueue &eq)
 {
-    add(Kind::counter, name, std::move(read), nullptr, desc);
+    name_ = std::move(name);
+    eq_ = &eq;
+    if (!series_.empty())
+        link();
 }
 
 void
-Group::addGauge(const std::string &name, std::function<uint64_t()> read,
-                const std::string &desc)
+Group::add(Kind kind, const char *name, const void *src,
+           const char *desc)
 {
-    add(Kind::gauge, name, std::move(read), nullptr, desc);
+    if (series_.empty())
+        series_.reserve(8);
+    series_.push_back({name, desc, src, kind});
+    if (eq_ && series_.size() == 1)
+        link();
 }
 
 void
-Group::addHistogram(const std::string &name, const Histogram *hist,
-                    const std::string &desc)
+Group::link()
 {
-    add(Kind::histogram, name, nullptr, hist, desc);
+    if (auto *r = registry(); r && !reg_)
+        r->link(*this);
 }
 
 void
-Group::retire()
+Group::addCounter(const char *name, const uint64_t *v, const char *desc)
 {
-    if (retired_)
-        return;
-    retired_ = true;
-    for (Series &s : series_) {
-        switch (s.kind) {
-          case Kind::counter:
-          case Kind::gauge:
-            if (s.read) {
-                s.value = s.read();
-                if (s.kind == Kind::gauge && s.value > s.peak)
-                    s.peak = s.value;
-            }
-            s.read = nullptr;
-            break;
-          case Kind::histogram:
-            if (s.live)
-                s.hist = *s.live;
-            s.live = nullptr;
-            break;
+    add(Kind::counter, name, v, desc);
+}
+
+void
+Group::addGauge(const char *name, const uint64_t *v, const char *desc)
+{
+    add(Kind::gauge, name, v, desc);
+}
+
+void
+Group::addIntegral(const char *name, const Integral *v,
+                   const char *desc)
+{
+    add(Kind::integral, name, v, desc);
+}
+
+void
+Group::addHistogram(const char *name, const Histogram *h,
+                    const char *desc)
+{
+    add(Kind::histogram, name, h, desc);
+}
+
+namespace
+{
+
+/** A histogram as the JSON object both dumps share. */
+void
+writeHistJson(std::ostream &os, const Histogram &h)
+{
+    os << "{\"count\":" << h.count() << ",\"min\":" << h.min()
+       << ",\"max\":" << h.max()
+       << ",\"mean\":" << stats::jsonNum(h.mean())
+       << ",\"p50\":" << h.percentile(0.50)
+       << ",\"p90\":" << h.percentile(0.90)
+       << ",\"p99\":" << h.percentile(0.99)
+       << ",\"p999\":" << h.percentile(0.999) << "}";
+}
+
+} // namespace
+
+void
+Group::dump(std::ostream &os, Tick now) const
+{
+    auto line = [&](const Series &s, const char *suffix,
+                    const std::string &value) {
+        os << std::left << std::setw(40)
+           << (name_ + "." + s.name + suffix) << " " << std::right
+           << std::setw(16) << value;
+        if (*s.desc)
+            os << "  # " << s.desc;
+        os << '\n';
+    };
+
+    for (const Series &s : series_) {
+        if (s.kind != Kind::histogram) {
+            line(s, "", std::to_string(s.value(now)));
+            continue;
         }
+        const Histogram &h = s.hist();
+        char mean[32];
+        std::snprintf(mean, sizeof(mean), "%.3f", h.mean());
+        line(s, ".count", std::to_string(h.count()));
+        line(s, ".mean", mean);
+        line(s, ".p50", std::to_string(h.percentile(0.50)));
+        line(s, ".p99", std::to_string(h.percentile(0.99)));
+        line(s, ".max", std::to_string(h.max()));
     }
+}
+
+void
+Group::dumpJson(std::ostream &os, Tick now) const
+{
+    os << "{\"name\":\"" << stats::jsonEscape(name_) << "\",\"stats\":{";
+    bool first = true;
+    for (const Series &s : series_) {
+        os << (first ? "\"" : ",\"") << s.name << "\":";
+        first = false;
+        if (s.kind == Kind::histogram)
+            writeHistJson(os, s.hist());
+        else
+            os << s.value(now);
+    }
+    os << "}}";
 }
 
 // -------------------------------------------------------------- Registry
@@ -101,12 +187,18 @@ Registry::Registry(Tick sample_interval) : interval_(sample_interval)
 {
 }
 
-Registry::~Registry() = default;
-
-std::shared_ptr<Group>
-Registry::addGroup(const std::string &name, EventQueue &eq)
+Registry::~Registry()
 {
-    uint64_t qid = eq.queueId();
+    // Groups that outlive the registry must not call back into it.
+    for (Record &r : records_)
+        if (r.live)
+            r.live->reg_ = nullptr;
+}
+
+void
+Registry::link(Group &g)
+{
+    uint64_t qid = g.eventq().queueId();
     auto it = simOfQueue_.find(qid);
     unsigned sim;
     if (it != simOfQueue_.end()) {
@@ -114,16 +206,57 @@ Registry::addGroup(const std::string &name, EventQueue &eq)
     } else {
         sim = sims_++;
         simOfQueue_.emplace(qid, sim);
-        // The Sampler's own constructor re-enters addGroup for its
-        // "eventq" group; the queue id is now mapped, so it lands in
-        // the known-queue path above.
+        // The Sampler's own group links back in here; the queue id is
+        // now mapped, so it lands in the known-queue path above and
+        // precedes @p g in the output.
         if (interval_ > 0)
             samplers_.push_back(std::make_unique<Sampler>(
-                "eventq", eq, *this, qid, interval_));
+                "eventq", g.eventq(), *this, qid, interval_));
     }
-    auto g = std::shared_ptr<Group>(new Group(this, name, sim, qid));
-    groups_.push_back(g);
-    return g;
+    records_.push_back({&g, sim, qid, false, {}, {}, {}});
+    g.reg_ = this;
+    g.record_ = records_.size() - 1;
+}
+
+void
+Registry::unlink(size_t record)
+{
+    records_[record].live = nullptr;
+}
+
+void
+Registry::prepare(Record &r)
+{
+    if (!r.ids.empty() || r.live->series().empty())
+        return;
+    r.name = r.live->name();
+    for (const Series &s : r.live->series()) {
+        r.ids.push_back(internSeries(r.name + "." + s.name));
+        TaskMetrics::SeriesResult res;
+        res.kind = s.kind == Kind::integral ? Kind::counter : s.kind;
+        res.name = s.name;
+        r.series.push_back(std::move(res));
+    }
+}
+
+void
+Registry::capture(Record &r, Tick now)
+{
+    prepare(r);
+    const std::vector<Series> &series = r.live->series();
+    for (size_t i = 0; i < series.size(); ++i) {
+        TaskMetrics::SeriesResult &res = r.series[i];
+        if (series[i].kind == Kind::histogram) {
+            res.hist = series[i].hist();
+            continue;
+        }
+        res.value = series[i].value(now);
+        if (res.kind == Kind::gauge && res.value > res.peak)
+            res.peak = res.value;
+    }
+    r.live->reg_ = nullptr;
+    r.live = nullptr;
+    r.kept = true;
 }
 
 uint32_t
@@ -141,28 +274,42 @@ Registry::internSeries(const std::string &full_name)
 void
 Registry::sampleNow(uint64_t queue_id, Tick tick)
 {
-    for (auto &g : groups_) {
-        if (g->queueId_ != queue_id || g->retired_)
+    for (Record &r : records_) {
+        if (!r.live || r.queueId != queue_id)
             continue;
-        for (Group::Series &s : g->series_) {
-            if (s.kind == Kind::histogram)
+        prepare(r);
+        const std::vector<Series> &series = r.live->series();
+        for (size_t i = 0; i < series.size(); ++i) {
+            if (series[i].kind == Kind::histogram)
                 continue;
-            uint64_t v = s.read ? s.read() : s.value;
-            if (s.kind == Kind::gauge && v > s.peak)
-                s.peak = v;
+            uint64_t v = series[i].value(tick);
+            if (series[i].kind == Kind::gauge && v > r.series[i].peak)
+                r.series[i].peak = v;
             if (rows_.size() < maxRows)
-                rows_.push_back({g->sim_, tick, s.id, v});
+                rows_.push_back({r.sim, tick, r.ids[i], v});
             else
                 ++droppedRows_;
         }
     }
 }
 
+void
+Registry::snapshot(uint64_t queue_id, Tick now)
+{
+    auto it = simOfQueue_.find(queue_id);
+    if (it == simOfQueue_.end())
+        return;
+    for (Record &r : records_)
+        if (r.live && r.sim == it->second)
+            capture(r, now);
+}
+
 TaskMetrics
 Registry::finalize(std::string label)
 {
-    for (auto &g : groups_)
-        g->retire();
+    for (Record &r : records_)
+        if (r.live)
+            capture(r, r.live->eventq().curTick());
 
     TaskMetrics out;
     out.label = std::move(label);
@@ -175,18 +322,15 @@ Registry::finalize(std::string label)
     // Merge same-named groups across the task's simulations:
     // counters sum, gauges keep {last, peak}, histograms merge.
     std::map<std::string, size_t> group_index;
-    for (auto &g : groups_) {
-        size_t gi;
-        auto it = group_index.find(g->name());
-        if (it == group_index.end()) {
-            gi = out.groups.size();
-            group_index.emplace(g->name(), gi);
-            out.groups.push_back({g->name(), {}});
-        } else {
-            gi = it->second;
-        }
-        TaskMetrics::GroupResult &mg = out.groups[gi];
-        for (const Group::Series &s : g->series_) {
+    for (const Record &r : records_) {
+        if (!r.kept)
+            continue;
+        auto [it, fresh] =
+            group_index.emplace(r.name, out.groups.size());
+        if (fresh)
+            out.groups.push_back({r.name, {}});
+        TaskMetrics::GroupResult &mg = out.groups[it->second];
+        for (const TaskMetrics::SeriesResult &s : r.series) {
             TaskMetrics::SeriesResult *ms = nullptr;
             for (auto &cand : mg.series) {
                 if (cand.name == s.name) {
@@ -199,10 +343,10 @@ Registry::finalize(std::string label)
                 ms = &mg.series.back();
                 ms->kind = s.kind;
                 ms->name = s.name;
-                ms->desc = s.desc;
             }
             switch (s.kind) {
               case Kind::counter:
+              case Kind::integral:
                 ms->value += s.value;
                 break;
               case Kind::gauge:
@@ -237,7 +381,6 @@ void
 Collector::writeJson(std::ostream &os) const
 {
     using stats::jsonEscape;
-    using stats::jsonNum;
 
     std::lock_guard<std::mutex> lock(mutex_);
     os << "{\"schema\":\"tcpni-metrics-1\",\"sampleInterval\":"
@@ -279,6 +422,7 @@ Collector::writeJson(std::ostream &os) const
                     os << "\"" << jsonEscape(s.name) << "\":";
                     switch (kind) {
                       case Kind::counter:
+                      case Kind::integral:
                         os << s.value;
                         break;
                       case Kind::gauge:
@@ -286,15 +430,7 @@ Collector::writeJson(std::ostream &os) const
                            << ",\"peak\":" << s.peak << "}";
                         break;
                       case Kind::histogram:
-                        os << "{\"count\":" << s.hist.count()
-                           << ",\"min\":" << s.hist.min()
-                           << ",\"max\":" << s.hist.max()
-                           << ",\"mean\":" << jsonNum(s.hist.mean())
-                           << ",\"p50\":" << s.hist.percentile(0.50)
-                           << ",\"p90\":" << s.hist.percentile(0.90)
-                           << ",\"p99\":" << s.hist.percentile(0.99)
-                           << ",\"p999\":"
-                           << s.hist.percentile(0.999) << "}";
+                        writeHistJson(os, s.hist);
                         break;
                     }
                 }

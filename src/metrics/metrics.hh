@@ -1,46 +1,51 @@
 /**
  * @file
- * Hardware-style performance-counter telemetry for the simulator.
+ * The simulator's one telemetry registry.
  *
- * The design has three layers:
+ * Every SimObject owns a Group (see SimObject::stats()); a component
+ * registers each of its series there exactly once, in its
+ * constructor, under one snake_case name.  An entry is plain data: a
+ * pointer to a uint64_t counter or gauge field, to a Histogram, or to
+ * an Integral (a time integral kept up to date where its level
+ * changes).  Nothing is computed on read except Integral::at(), so
+ * the text dump (System::dumpStats), the JSON dump
+ * (System::dumpStatsJson), the periodic Sampler and the
+ * "tcpni-metrics-1" JSON/CSV are all views over the same entries.
  *
- *  - **Group / Registry** (per worker thread, per sweep task).  While
- *    a task's Registry is installed (thread-local, see registry() /
- *    setRegistry()), every instrumented SimObject constructor hangs a
- *    Group of named counters, gauges and histograms off it.  With no
- *    registry installed -- the default, and always the case when the
- *    driver runs without --metrics -- registration is a single
- *    null-pointer test and the simulation is bit-identical to an
- *    uninstrumented build.
+ *  - **Registry** (per sweep task, thread-local; see registry() /
+ *    setRegistry()).  While one is installed, a Group links itself to
+ *    it when its first series is added.  With none installed -- the
+ *    default, and always the case without --metrics -- a Group is a
+ *    name, a queue pointer and a vector of entries, and the
+ *    simulation is bit-identical to an uninstrumented build.
  *
- *  - **Sampler** (one per simulation, created automatically by the
- *    Registry when a sample interval is configured).  A SimObject at
- *    statsPri that snapshots every live counter/gauge of its
- *    simulation on a fixed tick interval, producing the time-series
- *    rows behind the per-link utilization heatmap.
+ *  - **Sampler** (one per simulation, spawned by the Registry when a
+ *    sample interval is configured).  A SimObject at statsPri that
+ *    reads every linked series of its queue on a fixed tick interval,
+ *    producing the time-series rows behind the per-link heatmap.
  *
- *  - **Collector / TaskScope** (per experiment run).  A TaskScope is
- *    an RAII guard a sweep task holds for its whole body: it installs
- *    a fresh Registry on entry and, on exit, folds the task's merged
- *    counters and sample rows into the process-wide Collector, keyed
- *    by the task's slot index so the final JSON/CSV is byte-identical
- *    whether the sweep ran serially or on N worker threads.
+ *  - **Collector / TaskScope** (per experiment run).  A TaskScope
+ *    installs a fresh Registry for a sweep task and, on exit, folds
+ *    the task's merged values and sample rows into the process-wide
+ *    Collector, keyed by slot so the JSON/CSV is byte-identical
+ *    whatever the worker count.
  *
- * Ownership and lifetime rules (the part that keeps this safe):
- * counter/gauge read functions capture their component, so a
- * component MUST call Group::retire() from its destructor; retire()
- * snapshots the final values into the Group and drops the closures.
- * The Group itself is shared_ptr-held by both the component and the
- * Registry, so either side may die first.  A TaskScope must be
- * declared BEFORE the simulation objects it observes (scope exits
- * last), so every group is retired by the time the scope aggregates.
+ * Lifetime: final values are read once, by snapshot(), while every
+ * component of the simulation is still alive.  sys::System calls it
+ * from its destructor; a harness that builds components by hand
+ * calls it itself when its run ends.  A snapshot copies the values
+ * into the Registry and unlinks the groups, so the Registry never
+ * reads a component after that.  A Group destroyed without a
+ * snapshot merely unlinks (its series are left out of the task's
+ * output); one still alive when the task finalizes is snapshotted
+ * then.  Declare a TaskScope before the simulation objects it
+ * observes, so its Registry outlives them.
  */
 
 #ifndef TCPNI_METRICS_METRICS_HH
 #define TCPNI_METRICS_METRICS_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -67,67 +72,117 @@ enum class Kind : uint8_t
 {
     counter,    //!< monotonic count; merged by summing
     gauge,      //!< instantaneous level; merged as {last, peak}
+    integral,   //!< time integral of a level; a counter when exported
     histogram,  //!< latency histogram; merged by bucket addition
 };
 
 /**
- * One component's named metric series ("node0.ni" owning "sent",
- * "oq.stall_cycles", ...).  Obtained from Registry::addGroup(); the
- * component keeps the shared_ptr and calls retire() in its destructor.
+ * The time integral of a level (a queue depth, a flag held asserted,
+ * destinations at a limit): at tick t it is
+ * area + level * (t - since).  Call set() wherever the level changes;
+ * the open interval since the last change is added at read time, so
+ * a value read at the end of a run covers it.
+ */
+struct Integral
+{
+    uint64_t area = 0;   //!< level x ticks folded up to @c since
+    uint64_t level = 0;  //!< current level
+    Tick since = 0;      //!< tick of the last change
+
+    void
+    set(uint64_t new_level, Tick now)
+    {
+        if (now > since) {
+            area += level * (now - since);
+            since = now;
+        }
+        level = new_level;
+    }
+
+    uint64_t
+    at(Tick now) const
+    {
+        return now > since ? area + level * (now - since) : area;
+    }
+};
+
+/** One registered series: where its value lives, and what it is. */
+struct Series
+{
+    const char *name;  //!< snake_case; '.' separates sub-blocks
+    const char *desc;
+    const void *src;   //!< uint64_t, Integral or Histogram, by kind
+    Kind kind;
+
+    /** Counter/gauge value, or an integral read at @p now
+     *  (histograms read as their sample count). */
+    uint64_t value(Tick now) const;
+    const Histogram &hist() const
+    {
+        return *static_cast<const Histogram *>(src);
+    }
+};
+
+/**
+ * One component's named series ("node0.ni" owning "sent",
+ * "oq.occ_ticks", ...).  Names and descriptions are not copied: pass
+ * string literals, or strings the component keeps alive.
  */
 class Group
 {
   public:
-    void addCounter(const std::string &name,
-                    std::function<uint64_t()> read,
-                    const std::string &desc = "");
-    void addGauge(const std::string &name,
-                  std::function<uint64_t()> read,
-                  const std::string &desc = "");
-    void addHistogram(const std::string &name, const Histogram *hist,
-                      const std::string &desc = "");
+    /** An unnamed group, bound later with attach(). */
+    Group() = default;
+    Group(std::string name, EventQueue &eq)
+        : name_(std::move(name)), eq_(&eq)
+    {}
+    ~Group();
 
-    /**
-     * Snapshot final values and drop the read closures.  Call from
-     * the owning component's destructor; idempotent.
-     */
-    void retire();
+    Group(const Group &) = delete;
+    Group &operator=(const Group &) = delete;
 
-    bool retired() const { return retired_; }
+    /** Name the group and bind it to @p eq: for an owner that is
+     *  built before it knows where it lives (a transport policy). */
+    void attach(std::string name, EventQueue &eq);
+
+    void addCounter(const char *name, const uint64_t *v,
+                    const char *desc);
+    void addGauge(const char *name, const uint64_t *v,
+                  const char *desc);
+    void addIntegral(const char *name, const Integral *v,
+                     const char *desc);
+    void addHistogram(const char *name, const Histogram *h,
+                      const char *desc);
+
     const std::string &name() const { return name_; }
+    EventQueue &eventq() const { return *eq_; }
+    const std::vector<Series> &series() const { return series_; }
+
+    /** Linked to a registry that has not yet snapshotted it. */
+    bool linked() const { return reg_ != nullptr; }
+
+    /** Write "group.series value  # desc" lines, integrals read at
+     *  @p now; histograms as .count/.mean/.p50/.p99/.max lines. */
+    void dump(std::ostream &os, Tick now) const;
+
+    /** Write {"name":"...","stats":{...}}: counters, gauges and
+     *  integrals (read at @p now) as numbers, histograms as
+     *  {"count","min","max","mean","p50","p90","p99","p999"}, the
+     *  shape the metrics JSON uses. */
+    void dumpJson(std::ostream &os, Tick now) const;
 
   private:
     friend class Registry;
 
-    Group(Registry *owner, std::string name, unsigned sim,
-          uint64_t queue_id)
-        : owner_(owner), name_(std::move(name)), sim_(sim),
-          queueId_(queue_id)
-    {}
+    void add(Kind kind, const char *name, const void *src,
+             const char *desc);
+    void link();
 
-    struct Series
-    {
-        Kind kind;
-        std::string name;
-        std::string desc;
-        uint32_t id;         //!< interned "group.series" name
-        std::function<uint64_t()> read;  //!< counter/gauge, until retire
-        const Histogram *live = nullptr; //!< histogram, until retire
-        uint64_t value = 0;  //!< counter total / gauge last
-        uint64_t peak = 0;   //!< gauge: max over samples and retire
-        Histogram hist;      //!< histogram snapshot at retire
-    };
-
-    void add(Kind kind, const std::string &name,
-             std::function<uint64_t()> read, const Histogram *hist,
-             const std::string &desc);
-
-    Registry *owner_;
     std::string name_;
-    unsigned sim_;
-    uint64_t queueId_;
-    bool retired_ = false;
+    EventQueue *eq_ = nullptr;
     std::vector<Series> series_;
+    Registry *reg_ = nullptr;  //!< set while linked
+    size_t record_ = 0;        //!< index in reg_'s records
 };
 
 /** One time-series sample: series @p series had @p value at @p tick
@@ -145,9 +200,8 @@ struct TaskMetrics
 {
     struct SeriesResult
     {
-        Kind kind;
+        Kind kind;           //!< counter, gauge or histogram
         std::string name;
-        std::string desc;
         uint64_t value = 0;  //!< counter sum / gauge last
         uint64_t peak = 0;   //!< gauge peak
         Histogram hist;      //!< histogram merge
@@ -168,14 +222,14 @@ struct TaskMetrics
 };
 
 /**
- * The per-task registry instrumented components register with.
+ * The per-task registry groups link to while it is installed.
  *
  * Detects simulation boundaries by EventQueue identity: the first
- * group registered against a never-before-seen queue starts a new
+ * group linked against a never-before-seen queue starts a new
  * simulation index and (when a sample interval is configured) spawns a
- * Sampler on that queue; later groups registered against the same
- * queue join its simulation regardless of registration order (a
- * sharded machine interleaves registrations across its shard queues).
+ * Sampler on that queue; later groups linked against the same queue
+ * join its simulation regardless of link order (a sharded machine
+ * interleaves registrations across its shard queues).
  */
 class Registry
 {
@@ -187,24 +241,42 @@ class Registry
     Registry(const Registry &) = delete;
     Registry &operator=(const Registry &) = delete;
 
-    /** Register a component's metric group named @p name (the
-     *  SimObject name) in the simulation owning @p eq. */
-    std::shared_ptr<Group> addGroup(const std::string &name,
-                                    EventQueue &eq);
-
     Tick sampleInterval() const { return interval_; }
 
-    /** Called by the Sampler: record one sample of every live series
-     *  of the simulation owning @p queue_id. */
+    /** Called by the Sampler: record one sample of every linked
+     *  series on queue @p queue_id. */
     void sampleNow(uint64_t queue_id, Tick tick);
 
-    /** Retire anything still live and aggregate across simulations.
-     *  The registry is inert afterwards. */
+    /** Copy the final values of every linked group of the
+     *  simulation owning queue @p queue_id, integrals read at
+     *  @p now, and unlink those groups.  Only these copies reach
+     *  finalize(). */
+    void snapshot(uint64_t queue_id, Tick now);
+
+    /** Snapshot anything still linked and aggregate across
+     *  simulations.  The registry is inert afterwards. */
     TaskMetrics finalize(std::string label);
 
   private:
     friend class Group;
 
+    /** A linked (later: snapshotted) group, in link order. */
+    struct Record
+    {
+        Group *live;        //!< null once snapshotted or destroyed
+        unsigned sim;
+        uint64_t queueId;
+        bool kept = false;  //!< snapshotted: part of the output
+        std::string name;
+        std::vector<uint32_t> ids;  //!< interned "group.series" names
+        std::vector<TaskMetrics::SeriesResult> series;
+    };
+
+    void link(Group &g);
+    void unlink(size_t record);
+    /** Fill @p r 's per-series results from its live group. */
+    void prepare(Record &r);
+    void capture(Record &r, Tick now);
     uint32_t internSeries(const std::string &full_name);
 
     /** Bound on stored rows so a tight sample interval on a long run
@@ -214,7 +286,7 @@ class Registry
     Tick interval_;
     std::map<uint64_t, unsigned> simOfQueue_;
     unsigned sims_ = 0;
-    std::vector<std::shared_ptr<Group>> groups_;
+    std::vector<Record> records_;
     std::vector<std::unique_ptr<Sampler>> samplers_;
     std::vector<std::string> seriesNames_;
     std::map<std::string, uint32_t> seriesIds_;
@@ -231,6 +303,14 @@ Registry *registry();
 
 /** Install (or, with nullptr, remove) this thread's registry. */
 void setRegistry(Registry *r);
+
+/**
+ * Snapshot the simulation owning @p eq into this thread's registry
+ * (a no-op when none is installed): call once when a run ends, while
+ * its components are alive, for each of its queues.  Integrals are
+ * read at @p now.
+ */
+void snapshot(const EventQueue &eq, Tick now);
 
 class TaskScope;
 

@@ -13,21 +13,11 @@ Sampler::Sampler(const std::string &name, EventQueue &eq,
       interval_(interval),
       sampleEvent_([this] { fire(); }, Event::statsPri)
 {
-    group_ = owner_.addGroup(name, eq);
-    group_->addCounter("processed", [this] { return processed_; },
+    stats().addCounter("processed", &processed_,
                        "events processed (as of last sample)");
-    group_->addGauge("size", [this] { return qsize_; },
+    stats().addGauge("size", &qsize_,
                      "scheduled events (as of last sample)");
     eventq().schedule(&sampleEvent_, curTick() + interval_);
-}
-
-Sampler::~Sampler()
-{
-    // Deliberately no deschedule: the owning Registry outlives the
-    // simulation, so the queue (and any still-pending sample event
-    // entry) is already gone by the time the Sampler is destroyed.
-    if (group_)
-        group_->retire();
 }
 
 void

@@ -12,17 +12,16 @@
  * most round the final tick up to the next sample boundary).
  *
  * The Sampler also contributes its own "eventq" group (events
- * processed, queue size).  The group's read functions capture the
- * Sampler -- which the Registry owns and keeps alive through
- * finalize() -- never the EventQueue, whose lifetime ends with the
- * task's simulation.  The destructor likewise never touches the
- * queue: a still-scheduled sample event simply dies with its queue.
+ * processed, queue size).  Its series are fields of the Sampler --
+ * which the Registry owns and keeps alive through finalize() -- set
+ * from the EventQueue at each sample, so nothing reads the queue once
+ * the task's simulation is gone.  There is deliberately no
+ * deschedule on destruction: a still-scheduled sample event simply
+ * dies with its queue, which the Registry outlives.
  */
 
 #ifndef TCPNI_METRICS_SAMPLER_HH
 #define TCPNI_METRICS_SAMPLER_HH
-
-#include <memory>
 
 #include "sim/sim_object.hh"
 
@@ -31,7 +30,6 @@ namespace tcpni
 namespace metrics
 {
 
-class Group;
 class Registry;
 
 class Sampler : public SimObject
@@ -39,7 +37,6 @@ class Sampler : public SimObject
   public:
     Sampler(const std::string &name, EventQueue &eq, Registry &owner,
             uint64_t queue_id, Tick interval);
-    ~Sampler() override;
 
   private:
     void fire();
@@ -47,11 +44,10 @@ class Sampler : public SimObject
     Registry &owner_;
     uint64_t queueId_;
     Tick interval_;
-    /** Queue state as of the last sample; read by the "eventq" group
-     *  so finalize() never touches a dead EventQueue. */
+    /** Queue state as of the last sample: the "eventq" group's
+     *  series. */
     uint64_t processed_ = 0;
     uint64_t qsize_ = 0;
-    std::shared_ptr<Group> group_;
     LambdaEvent sampleEvent_;
 };
 

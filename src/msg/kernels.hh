@@ -91,7 +91,7 @@ std::map<std::string, uint64_t> kernelSymbols();
  *   and jump -- instead of hoisting the NextMsgIp load to overlap the
  *   interface latency with processing.  Isolates the benefit of the
  *   NextMsgIp register (Section 2.2.3); measured with
- *   `bench/table1 --no-overlap`.
+ *   `tcpni_bench table1 --no-overlap`.
  *
  * @param collectives  when true the program also installs the
  *   collective handlers (BARUP/BARDN/MCAST/REDUCE) that fan out

@@ -36,127 +36,37 @@ NetworkInterface::NetworkInterface(std::string name, EventQueue &eq,
         return acceptFromNetwork(m);
     });
 
-    statGroup().addScalar("sent", &sent_, "messages injected");
-    statGroup().addScalar("received", &received_, "messages accepted");
-    statGroup().addScalar("refused", &refused_,
-                          "deliveries refused (input queue full)");
-    statGroup().addScalar("overflowExc", &overflowExc_,
-                          "output-overflow exceptions raised");
-    statGroup().addScalar("privReceived", &privReceived_,
-                          "privileged/PIN-mismatched messages queued");
-    statGroup().addScalar("interrupts", &interrupts_,
-                          "message-arrival interrupts delivered");
-    statGroup().addHistogram("e2eLatency", &e2eLatency_,
-                             "send-enqueue to dispatch (cycles)");
-    statGroup().addHistogram("netLatency", &netLatency_,
-                             "send-enqueue to arrival (cycles)");
-    statGroup().addHistogram("queueLatency", &queueLatency_,
-                             "arrival to dispatch (cycles)");
-    statGroup().addTimeWeighted("inputOccupancy", &inputOcc_,
-                                "time-weighted input queue depth");
-    statGroup().addTimeWeighted("outputOccupancy", &outputOcc_,
-                                "time-weighted output queue depth");
-
-    if (auto *r = metrics::registry()) {
-        mgroup_ = r->addGroup(this->name(), eq);
-        mgroup_->addCounter("sent", [this] { return sent_.value(); },
-                            "messages injected");
-        mgroup_->addCounter("received",
-                            [this] { return received_.value(); },
-                            "messages accepted");
-        mgroup_->addCounter("refused",
-                            [this] { return refused_.value(); },
-                            "deliveries refused (input queue full)");
-        mgroup_->addCounter("overflow_exc",
-                            [this] { return overflowExc_.value(); },
-                            "output-overflow exceptions raised");
-        mgroup_->addCounter("priv_received",
-                            [this] { return privReceived_.value(); },
-                            "privileged/PIN-mismatched messages");
-        mgroup_->addCounter("interrupts",
-                            [this] { return interrupts_.value(); },
-                            "message-arrival interrupts delivered");
-        mgroup_->addCounter("oq.stall_cycles",
-                            [this] { return oqStallCycles_; },
-                            "cycles SEND stalled on a full output "
-                            "queue");
-        mgroup_->addCounter("iq.full_crossings",
-                            [this] { return iafullCrossings_; },
-                            "iafull threshold rising edges");
-        mgroup_->addCounter("oq.full_crossings",
-                            [this] { return oafullCrossings_; },
-                            "oafull threshold rising edges");
-        mgroup_->addCounter("oq.full_cycles",
-                            [this] { return oafullCycles(); },
-                            "cycles with oafull asserted");
-        mgroup_->addCounter("oq.occ_ticks",
-                            [this] { return outputOccTicks(); },
-                            "output queue occupancy integral "
-                            "(messages x ticks)");
-        mgroup_->addCounter("iq.occ_ticks",
-                            [this] { return inputOccTicks(); },
-                            "input queue occupancy integral "
-                            "(messages x ticks)");
-        mgroup_->addGauge("iq.depth",
-                          [this] { return inputQueue_.size(); },
-                          "input queue depth");
-        mgroup_->addGauge("oq.depth",
-                          [this] { return outputQueue_.size(); },
-                          "output queue depth");
-        mgroup_->addHistogram("e2e_latency", &e2eLatency_,
-                              "send-enqueue to dispatch (cycles)");
-        mgroup_->addHistogram("net_latency", &netLatency_,
-                              "send-enqueue to arrival (cycles)");
-        mgroup_->addHistogram("queue_latency", &queueLatency_,
-                              "arrival to dispatch (cycles)");
-    }
-}
-
-NetworkInterface::~NetworkInterface()
-{
-    if (mgroup_)
-        mgroup_->retire();
-}
-
-void
-NetworkInterface::noteQueueLevels()
-{
-    const Tick now = curTick();
-    inputOcc_.update(inputQueue_.size(), now);
-    outputOcc_.update(outputQueue_.size(), now);
-    // Exact integer occupancy integrals (the TimeWeighted stats above
-    // keep doubles for the text dump; the serve experiment wants
-    // lossless counters it can difference and merge).
-    if (now > occTick_) {
-        iqOccTicks_ += static_cast<uint64_t>(occIqLevel_) *
-                       (now - occTick_);
-        oqOccTicks_ += static_cast<uint64_t>(occOqLevel_) *
-                       (now - occTick_);
-        occTick_ = now;
-    }
-    occIqLevel_ = inputQueue_.size();
-    occOqLevel_ = outputQueue_.size();
-}
-
-uint64_t
-NetworkInterface::oafullCycles() const
-{
-    return oafullCycles_ +
-           (oafullNow_ ? curTick() - oafullRiseTick_ : 0);
-}
-
-uint64_t
-NetworkInterface::outputOccTicks() const
-{
-    return oqOccTicks_ + static_cast<uint64_t>(occOqLevel_) *
-                             (curTick() - occTick_);
-}
-
-uint64_t
-NetworkInterface::inputOccTicks() const
-{
-    return iqOccTicks_ + static_cast<uint64_t>(occIqLevel_) *
-                             (curTick() - occTick_);
+    metrics::Group &g = stats();
+    g.addCounter("sent", &sent_, "messages injected");
+    g.addCounter("received", &received_, "messages accepted");
+    g.addCounter("refused", &refused_,
+                 "deliveries refused (input queue full)");
+    g.addCounter("overflow_exc", &overflowExc_,
+                 "output-overflow exceptions raised");
+    g.addCounter("priv_received", &privReceived_,
+                 "privileged/PIN-mismatched messages queued");
+    g.addCounter("interrupts", &interrupts_,
+                 "message-arrival interrupts delivered");
+    g.addCounter("oq.stall_cycles", &oqStallCycles_,
+                 "cycles SEND stalled on a full output queue");
+    g.addCounter("iq.full_crossings", &iafullCrossings_,
+                 "iafull threshold rising edges");
+    g.addCounter("oq.full_crossings", &oafullCrossings_,
+                 "oafull threshold rising edges");
+    g.addIntegral("oq.full_cycles", &oafullTime_,
+                  "cycles with oafull asserted");
+    g.addIntegral("oq.occ_ticks", &oqOcc_,
+                  "output queue occupancy integral (messages x ticks)");
+    g.addIntegral("iq.occ_ticks", &iqOcc_,
+                  "input queue occupancy integral (messages x ticks)");
+    g.addGauge("iq.depth", &iqOcc_.level, "input queue depth");
+    g.addGauge("oq.depth", &oqOcc_.level, "output queue depth");
+    g.addHistogram("e2e_latency", &e2eLatency_,
+                   "send-enqueue to dispatch (cycles)");
+    g.addHistogram("net_latency", &netLatency_,
+                   "send-enqueue to arrival (cycles)");
+    g.addHistogram("queue_latency", &queueLatency_,
+                   "arrival to dispatch (cycles)");
 }
 
 unsigned
@@ -424,13 +334,12 @@ NetworkInterface::enqueueSend(Message msg)
     const NodeId dst = msg.dst;
     outputQueue_.push_back(std::move(msg));
     ++sent_;
-    noteQueueLevels();
+    oqOcc_.set(outputQueue_.size(), curTick());
     if (tpolicy_)
         tpolicy_->onAdmit(dst, curTick());
     if (!was_oafull && oafull()) {
         ++oafullCrossings_;
-        oafullNow_ = true;
-        oafullRiseTick_ = curTick();
+        oafullTime_.set(1, curTick());
         if (tpolicy_)
             tpolicy_->onOafull(true, curTick());
         TCPNI_TRACE(NI, "oafull asserted (output queue %zu > "
@@ -528,7 +437,7 @@ NetworkInterface::refill()
     const bool was_iafull = iafull();
     Message m = std::move(inputQueue_.front());
     inputQueue_.pop_front();
-    noteQueueLevels();
+    iqOcc_.set(inputQueue_.size(), curTick());
     if (was_iafull && !iafull()) {
         TCPNI_TRACE(NI, "iafull deasserted (input queue %zu <= "
                     "threshold %u)", inputQueue_.size(), inThreshold());
@@ -675,7 +584,7 @@ NetworkInterface::acceptFromNetwork(const Message &msg)
     const bool was_iafull = iafull();
     inputQueue_.push_back(std::move(m));
     ++received_;
-    noteQueueLevels();
+    iqOcc_.set(inputQueue_.size(), curTick());
     if (!was_iafull && iafull()) {
         ++iafullCrossings_;
         TCPNI_TRACE(NI, "iafull asserted (input queue %zu > "
@@ -727,10 +636,9 @@ NetworkInterface::pump()
                     static_cast<unsigned long long>(
                         outputQueue_.front().traceId));
         outputQueue_.pop_front();
-        noteQueueLevels();
+        oqOcc_.set(outputQueue_.size(), curTick());
         if (was_oafull && !oafull()) {
-            oafullCycles_ += curTick() - oafullRiseTick_;
-            oafullNow_ = false;
+            oafullTime_.set(0, curTick());
             if (tpolicy_)
                 tpolicy_->onOafull(false, curTick());
             TCPNI_TRACE(NI, "oafull deasserted (output queue %zu <= "

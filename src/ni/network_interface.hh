@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "common/ring.hh"
-#include "common/stats.hh"
 #include "isa/isa.hh"
 #include "metrics/metrics.hh"
 #include "ni/config.hh"
@@ -84,7 +83,6 @@ class NetworkInterface : public SimObject
   public:
     NetworkInterface(std::string name, EventQueue &eq, NodeId node,
                      Network &network, NiConfig config);
-    ~NetworkInterface() override;
 
     const NiConfig &config() const { return config_; }
     NodeId node() const { return node_; }
@@ -162,27 +160,19 @@ class NetworkInterface : public SimObject
     bool msgValid() const { return inputValid_; }
     uint8_t currentType() const { return currentType_; }
     ExcCode pendingException() const { return excCode_; }
-    uint64_t numSent() const { return sent_.value(); }
-    uint64_t numReceived() const { return received_.value(); }
+    uint64_t numSent() const { return sent_; }
+    uint64_t numReceived() const { return received_; }
     /** Trace id of the message currently in the input registers. */
     uint64_t currentTraceId() const { return currentTraceId_; }
     /** @} */
 
-    /** @{ Latency and occupancy statistics (see the stat
-     *     descriptions registered in the constructor). */
+    /** @{ Latency statistics (see the series registered in the
+     *     constructor). */
     const metrics::Histogram &e2eLatency() const { return e2eLatency_; }
     const metrics::Histogram &netLatency() const { return netLatency_; }
     const metrics::Histogram &queueLatency() const
     {
         return queueLatency_;
-    }
-    const stats::TimeWeighted &inputOccupancy() const
-    {
-        return inputOcc_;
-    }
-    const stats::TimeWeighted &outputOccupancy() const
-    {
-        return outputOcc_;
     }
     /** @} */
 
@@ -211,10 +201,11 @@ class NetworkInterface : public SimObject
 
     /** @{ Output-pressure counters for the serving harness: total
      *     cycles with oafull asserted, and the time integrals of the
-     *     queue depths (level x ticks), all exact integers. */
-    uint64_t oafullCycles() const;
-    uint64_t outputOccTicks() const;
-    uint64_t inputOccTicks() const;
+     *     queue depths (level x ticks), all exact integers, read at
+     *     the current tick. */
+    uint64_t oafullCycles() const { return oafullTime_.at(curTick()); }
+    uint64_t outputOccTicks() const { return oqOcc_.at(curTick()); }
+    uint64_t inputOccTicks() const { return iqOcc_.at(curTick()); }
     /** @} */
 
     /** Compute the current MsgIp value (Figure 7). */
@@ -270,10 +261,6 @@ class NetworkInterface : public SimObject
     /** Record an exceptional condition (first pending wins). */
     void raise(ExcCode code);
 
-    /** Fold the current queue depths into the time-weighted
-     *  occupancy stats (call after any queue size change). */
-    void noteQueueLevels();
-
     /** Figure-7 case analysis for an arbitrary "current" message. */
     Word dispatchFor(bool valid, uint8_t type, Word word1) const;
 
@@ -322,12 +309,12 @@ class NetworkInterface : public SimObject
     PumpEvent pumpEvent_;
     std::function<void(Word)> interruptSink_;
 
-    stats::Scalar sent_;
-    stats::Scalar interrupts_;
-    stats::Scalar received_;
-    stats::Scalar refused_;
-    stats::Scalar overflowExc_;
-    stats::Scalar privReceived_;
+    uint64_t sent_ = 0;
+    uint64_t interrupts_ = 0;
+    uint64_t received_ = 0;
+    uint64_t refused_ = 0;
+    uint64_t overflowExc_ = 0;
+    uint64_t privReceived_ = 0;
 
     /** @{ Message-latency histograms (cycles), recorded when a
      *     message advances into the input registers; HDR-bucketed so
@@ -338,11 +325,6 @@ class NetworkInterface : public SimObject
     metrics::Histogram queueLatency_;  //!< arrival -> dispatch
     /** @} */
 
-    /** @{ Time-weighted input/output queue occupancy. */
-    stats::TimeWeighted inputOcc_;
-    stats::TimeWeighted outputOcc_;
-    /** @} */
-
     /** @{ Hardware-style event counters (always maintained; the cost
      *     is one increment on an already-rare path). */
     uint64_t oqStallCycles_ = 0;    //!< SEND stall cycles (full queue)
@@ -350,18 +332,12 @@ class NetworkInterface : public SimObject
     uint64_t oafullCrossings_ = 0;  //!< oafull rising edges
     /** @} */
 
-    /** @{ Time-in-state accounting: how long oafull stays asserted
-     *     and the exact integer occupancy integrals of both queues
-     *     (level x ticks, folded on every queue change; the
-     *     in-progress span is added at read time). */
-    bool oafullNow_ = false;
-    Tick oafullRiseTick_ = 0;
-    uint64_t oafullCycles_ = 0;
-    size_t occIqLevel_ = 0;
-    size_t occOqLevel_ = 0;
-    Tick occTick_ = 0;
-    uint64_t iqOccTicks_ = 0;
-    uint64_t oqOccTicks_ = 0;
+    /** @{ Time in state: the queue depths (their levels are the
+     *     iq.depth/oq.depth gauges) and oafull held asserted, set on
+     *     every change. */
+    metrics::Integral iqOcc_;
+    metrics::Integral oqOcc_;
+    metrics::Integral oafullTime_;
     /** @} */
 
     /** Output-side transport policy; null (the default) is the
@@ -370,10 +346,6 @@ class NetworkInterface : public SimObject
     /** Delivery-credit return path; null unless some node in the
      *  machine runs a credit-consuming policy. */
     transport::CreditFabric *creditFabric_ = nullptr;
-
-    /** Telemetry group; null unless a metrics registry was installed
-     *  when this NI was constructed. */
-    std::shared_ptr<metrics::Group> mgroup_;
 };
 
 } // namespace ni

@@ -59,56 +59,45 @@ MeshNetwork::initPartitions(const ShardPlan &plan, ShardedEngine *engine)
 void
 MeshNetwork::registerMetrics()
 {
-    statGroup().addHistogram("latency", &latency_,
-                             "end-to-end message latency (cycles)");
+    metrics::Group &g = stats();
+    g.addCounter("injected", &injected_,
+                 "messages accepted into the fabric");
+    g.addGauge("occupied", &occupied_,
+               "messages resident in router queues");
+    g.addHistogram("latency", &latency_, "inject to eject (cycles)");
 
-    if (auto *reg = metrics::registry()) {
-        mgroup_ = reg->addGroup(this->name(), eventq());
-        mgroup_->addCounter("injected", [this] { return injected_; },
-                            "messages accepted into the fabric");
-        mgroup_->addGauge("occupied",
-                          [this] { return occupiedTotal(); },
-                          "messages resident in router queues");
-        mgroup_->addHistogram("latency", &latency_,
-                              "inject to eject (cycles)");
+    if (!metrics::registry() || numNodes() > maxLinkStatNodes)
+        return;
 
-        if (numNodes() > maxLinkStatNodes)
-            return;
-
-        // Per-link utilization counters: these feed the congestion
-        // heatmap, one series triple per (router, output port).
-        linkStats_ = true;
-        linkXfers_.assign(numNodes() * numPorts, 0);
-        linkBusy_.assign(numNodes() * numPorts, 0);
-        linkBlocked_.assign(numNodes() * numPorts, 0);
-        static const char *const port_names[numPorts] = {
-            "local", "north", "south", "east", "west"};
-        for (NodeId r = 0; r < numNodes(); ++r) {
-            for (unsigned p = 0; p < numPorts; ++p) {
-                const size_t li = r * numPorts + p;
-                const std::string base = "node" + std::to_string(r) +
-                                         "." + port_names[p];
-                mgroup_->addCounter(
-                    base + ".xfers",
-                    [this, li] { return linkXfers_[li]; },
-                    "messages forwarded over this link");
-                mgroup_->addCounter(
-                    base + ".busy_cycles",
-                    [this, li] { return linkBusy_[li]; },
-                    "cycles this link spent transferring");
-                mgroup_->addCounter(
-                    base + ".blocked_cycles",
-                    [this, li] { return linkBlocked_[li]; },
-                    "cycles a ready message waited for this link");
+    // Per-link utilization counters: these feed the congestion
+    // heatmap, one series triple per (router, output port).
+    static const char *const port_names[numPorts] = {
+        "local", "north", "south", "east", "west"};
+    static const char *const kinds[3] = {
+        ".xfers", ".busy_cycles", ".blocked_cycles"};
+    static const char *const descs[3] = {
+        "messages forwarded over this link",
+        "cycles this link spent transferring",
+        "cycles a ready message waited for this link"};
+    linkStats_ = true;
+    linkXfers_.assign(numNodes() * numPorts, 0);
+    linkBusy_.assign(numNodes() * numPorts, 0);
+    linkBlocked_.assign(numNodes() * numPorts, 0);
+    const uint64_t *counts[3] = {linkXfers_.data(), linkBusy_.data(),
+                                 linkBlocked_.data()};
+    // The group keeps pointers to these names: size the vector once.
+    linkNames_.reserve(numNodes() * numPorts * 3);
+    for (NodeId r = 0; r < numNodes(); ++r) {
+        for (unsigned p = 0; p < numPorts; ++p) {
+            const size_t li = r * numPorts + p;
+            for (unsigned k = 0; k < 3; ++k) {
+                linkNames_.push_back("node" + std::to_string(r) + "." +
+                                     port_names[p] + kinds[k]);
+                g.addCounter(linkNames_.back().c_str(), counts[k] + li,
+                             descs[k]);
             }
         }
     }
-}
-
-MeshNetwork::~MeshNetwork()
-{
-    if (mgroup_)
-        mgroup_->retire();
 }
 
 MeshNetwork::Port
@@ -171,15 +160,6 @@ MeshNetwork::queueDepth(NodeId node, Port port) const
     return routers_.at(node).inq[static_cast<unsigned>(port)].size();
 }
 
-uint64_t
-MeshNetwork::occupiedTotal() const
-{
-    uint64_t n = 0;
-    for (const auto &p : parts_)
-        n += p->occupied;
-    return n;
-}
-
 bool
 MeshNetwork::offer(NodeId src, const Message &msg)
 {
@@ -201,6 +181,7 @@ MeshNetwork::offer(NodeId src, const Message &msg)
                 msg.dest());
     land(src, Port::local, {msg, now, now, Port::local});
     ++injected_;
+    ++occupied_;
     if (!part.tick.scheduled())
         part.eq->schedule(&part.tick, now + 1);
     return true;
@@ -209,7 +190,7 @@ MeshNetwork::offer(NodeId src, const Message &msg)
 bool
 MeshNetwork::idle() const
 {
-    return occupiedTotal() == 0;
+    return occupied_ == 0;
 }
 
 void
@@ -316,6 +297,7 @@ MeshNetwork::visit(Partition &part, unsigned part_idx, NodeId r, Tick now)
                     q.pop_front();
                     --router.resident;
                     --part.occupied;
+                    --occupied_;
                     moved = true;
                 }
             } else {

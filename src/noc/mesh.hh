@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "common/ring.hh"
-#include "common/stats.hh"
 #include "metrics/metrics.hh"
 #include "noc/network.hh"
 #include "sim/shards.hh"
@@ -83,8 +82,6 @@ class MeshNetwork : public Network
                 const ShardPlan &plan, unsigned buffer_depth = 4,
                 unsigned cycles_per_word = 0);
 
-    ~MeshNetwork() override;
-
     bool offer(NodeId src, const Message &msg) override;
     bool idle() const override;
 
@@ -100,9 +97,6 @@ class MeshNetwork : public Network
 
     uint64_t injected() const { return injected_; }
     const metrics::Histogram &latencyDist() const { return latency_; }
-
-    /** Messages resident in router buffers, all partitions. */
-    uint64_t occupiedTotal() const;
 
     /** Router visits made by tick(), all partitions: one per router
      *  per cycle in which it holds a message that can move.  The
@@ -190,6 +184,7 @@ class MeshNetwork : public Network
     ShardedEngine *engine_ = nullptr;
 
     uint64_t injected_ = 0;
+    uint64_t occupied_ = 0;   //!< injected, not yet ejected
     uint64_t routerVisits_ = 0;
     metrics::Histogram latency_;
 
@@ -200,9 +195,9 @@ class MeshNetwork : public Network
     std::vector<uint64_t> linkXfers_;    //!< messages moved per link
     std::vector<uint64_t> linkBusy_;     //!< busy (flit-)cycles
     std::vector<uint64_t> linkBlocked_;  //!< cycles a waiter stalled
+    /** "nodeR.port.kind" names of the per-link series. */
+    std::vector<std::string> linkNames_;
     /** @} */
-
-    std::shared_ptr<metrics::Group> mgroup_;
 };
 
 } // namespace tcpni

@@ -1,6 +1,9 @@
 #include "sim/experiment.hh"
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -80,23 +83,53 @@ Context::str(const std::string &flag) const
     return it->second;
 }
 
-long
-Context::num(const std::string &flag) const
+uint64_t
+parseNum(const std::string &flag, const std::string &v, uint64_t max,
+         uint64_t min)
 {
-    // Every caller casts to an unsigned type, so a negative value
-    // would wrap (--msgs -1 asked for ~4G messages and hung).
-    const std::string &v = str(flag);
-    char *end = nullptr;
+    // Digits only: a sign would wrap in the unsigned callers (--msgs -1
+    // asked for ~4G messages and hung), and a value past @p max would
+    // wrap when narrowed (--shards 5000000000 became 705032704).
     errno = 0;
-    const long n = std::strtol(v.c_str(), &end, 10);
-    if (v.empty() || *end != '\0' || errno == ERANGE || n < 0) {
+    const uint64_t n = std::strtoull(v.c_str(), nullptr, 10);
+    if (v.empty() || v.find_first_not_of("0123456789") !=
+                         std::string::npos ||
+        errno == ERANGE || n < min || n > max) {
         std::fprintf(stderr,
-                     "%s: invalid value '%s' (want a non-negative "
-                     "integer)\n",
-                     flag.c_str(), v.c_str());
+                     "%s: invalid value '%s' (want an integer from %llu "
+                     "to %llu)\n",
+                     flag.c_str(), v.c_str(),
+                     static_cast<unsigned long long>(min),
+                     static_cast<unsigned long long>(max));
         std::exit(1);
     }
     return n;
+}
+
+long
+Context::num(const std::string &flag) const
+{
+    return static_cast<long>(parseNum(flag, str(flag), LONG_MAX));
+}
+
+unsigned
+Context::u32(const std::string &flag) const
+{
+    return static_cast<unsigned>(parseNum(flag, str(flag), UINT32_MAX));
+}
+
+std::vector<unsigned>
+Context::u32List(const std::string &flag, unsigned min) const
+{
+    std::vector<unsigned> out;
+    const std::string &v = str(flag);
+    for (size_t at = 0; at <= v.size();) {
+        size_t comma = std::min(v.find(',', at), v.size());
+        out.push_back(static_cast<unsigned>(
+            parseNum(flag, v.substr(at, comma - at), UINT32_MAX, min)));
+        at = comma + 1;
+    }
+    return out;
 }
 
 bool
@@ -171,7 +204,8 @@ runExperiment(const ExperimentRegistry &reg, const std::string &name,
     for (int i = 0; i < argc; ++i) {
         const char *a = argv[i];
         if (!std::strcmp(a, "--jobs") && i + 1 < argc) {
-            ctx.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+            ctx.jobs = static_cast<unsigned>(
+                parseNum(a, argv[++i], UINT32_MAX));
         } else if (!std::strcmp(a, "--metrics")) {
             metrics_on = true;
         } else if (!std::strcmp(a, "--metrics-out") && i + 1 < argc) {
@@ -179,8 +213,7 @@ runExperiment(const ExperimentRegistry &reg, const std::string &name,
             metrics_on = true;
         } else if (!std::strcmp(a, "--sample-interval") &&
                    i + 1 < argc) {
-            sample_interval =
-                static_cast<Tick>(std::strtoull(argv[++i], nullptr, 10));
+            sample_interval = parseNum(a, argv[++i], LONG_MAX);
             metrics_on = true;
         } else if (e->acceptsJson && !std::strcmp(a, "--json") &&
                    i + 1 < argc) {

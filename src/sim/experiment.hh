@@ -7,13 +7,11 @@
  * An experiment is a named definition: a description, the parameters
  * it accepts, whether it supports --json / --trace, and a run
  * function.  Definitions register in an ExperimentRegistry; the
- * shared driver (`tcpni_bench <name> [flags]`) and the thin
- * compatibility wrappers (`table1`, `figure12`, ...) both dispatch
- * through runExperiment(), so every experiment gets uniform
+ * shared driver (`tcpni_bench <name> [flags]`) dispatches through
+ * runExperiment(), so every experiment gets uniform
  * `--jobs/--json/--trace` handling for free.
  *
- * Invariants the driver maintains (matching the legacy binaries
- * byte-for-byte):
+ * Invariants the driver maintains:
  *  - `--trace FILE` installs a thread-local lifecycle sink and forces
  *    --jobs 1 before run() starts; after run() returns, the driver
  *    writes the Chrome trace and prints the standard epilogue line.
@@ -36,6 +34,7 @@
 #define TCPNI_SIM_EXPERIMENT_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <map>
@@ -76,8 +75,8 @@ class Context
     /**
      * Begin telemetry for sweep slot @p slot labelled @p label.
      * Declare the returned scope FIRST in the task body, before any
-     * simulation objects, so it outlives (and thus observes the
-     * retirement of) everything it registers.  Inert when metrics are
+     * simulation objects, so it outlives (and thus receives the final
+     * snapshot of) everything it registers.  Inert when metrics are
      * off.
      */
     metrics::TaskScope taskMetrics(size_t slot,
@@ -89,6 +88,13 @@ class Context
      *  negative or overflowing value is a usage error: it is reported
      *  with the flag's name and the process exits with status 1. */
     long num(const std::string &flag) const;
+    /** num() for an unsigned parameter: values above UINT32_MAX are
+     *  usage errors too, instead of wrapping. */
+    unsigned u32(const std::string &flag) const;
+    /** A comma-separated list of u32() values, each at least @p min
+     *  (an empty entry is a usage error). */
+    std::vector<unsigned> u32List(const std::string &flag,
+                                  unsigned min) const;
     bool on(const std::string &flag) const;     //!< switch given?
 
     /** Was the parameter explicitly passed on the command line? */
@@ -105,6 +111,14 @@ class Context
     std::map<std::string, std::string> values;
     std::set<std::string> explicitFlags;
 };
+
+/**
+ * Parse @p v, the value of @p flag, as an integer in [@p min, @p max].
+ * Anything else -- empty, signed, non-numeric, or out of range -- is a
+ * usage error: "<flag>: invalid value '<v>' ..." on stderr, exit 1.
+ */
+uint64_t parseNum(const std::string &flag, const std::string &v,
+                  uint64_t max, uint64_t min = 0);
 
 /** A registered experiment definition. */
 struct Experiment

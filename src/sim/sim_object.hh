@@ -8,7 +8,7 @@
 
 #include <string>
 
-#include "common/stats.hh"
+#include "metrics/metrics.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
 
@@ -18,15 +18,15 @@ namespace tcpni
 /**
  * A named component attached to an event queue.
  *
- * SimObjects expose a StatGroup for their counters and share the
- * simulation's EventQueue.
+ * Each SimObject owns the telemetry group its counters register in
+ * (see metrics::Group); the group also carries the component's name
+ * and event queue.
  */
 class SimObject
 {
   public:
     SimObject(std::string name, EventQueue &eq)
-        : name_(std::move(name)), eventq_(eventQueueRef(eq)),
-          statGroup_(name_)
+        : stats_(std::move(name), eventQueueRef(eq))
     {}
 
     virtual ~SimObject() = default;
@@ -34,19 +34,17 @@ class SimObject
     SimObject(const SimObject &) = delete;
     SimObject &operator=(const SimObject &) = delete;
 
-    const std::string &name() const { return name_; }
-    EventQueue &eventq() { return eventq_; }
-    Tick curTick() const { return eventq_.curTick(); }
+    const std::string &name() const { return stats_.name(); }
+    EventQueue &eventq() { return stats_.eventq(); }
+    Tick curTick() const { return stats_.eventq().curTick(); }
 
-    stats::StatGroup &statGroup() { return statGroup_; }
-    const stats::StatGroup &statGroup() const { return statGroup_; }
+    metrics::Group &stats() { return stats_; }
+    const metrics::Group &stats() const { return stats_; }
 
   private:
     static EventQueue &eventQueueRef(EventQueue &eq) { return eq; }
 
-    std::string name_;
-    EventQueue &eventq_;
-    stats::StatGroup statGroup_;
+    metrics::Group stats_;
 };
 
 } // namespace tcpni

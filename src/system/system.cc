@@ -18,8 +18,7 @@ Node::Node(const std::string &name, EventQueue &eq, NodeId id,
                                                  net, cfg.ni);
     if (cfg.ni.transport.policy != "naive") {
         tpolicy_ = transport::makePolicy(cfg.ni.transport);
-        tpolicy_->initStats(name + ".transport");
-        tpolicy_->attachMetrics(name + ".transport", eq);
+        tpolicy_->stats().attach(name + ".transport", eq);
         ni_->setTransportPolicy(tpolicy_.get());
     }
     if (cfg.ni.policy().handlersOnNi()) {
@@ -109,6 +108,14 @@ System::System(std::string name, unsigned width, unsigned height,
     }
 }
 
+System::~System()
+{
+    // Every component is still alive here: the one point where the
+    // task's registry (if any) copies the final values.
+    for (unsigned s = 0; s < engine_.numShards(); ++s)
+        metrics::snapshot(engine_.shard(s), engine_.curTick());
+}
+
 bool
 System::run(Tick max_ticks)
 {
@@ -136,12 +143,9 @@ System::run(Tick max_ticks)
 void
 System::dumpStats(std::ostream &os) const
 {
-    for (const auto &n : nodes_) {
-        n->ni().statGroup().dump(os);
-        if (auto *p = n->transportPolicy())
-            p->statGroup()->dump(os);
-    }
-    mesh_->statGroup().dump(os);
+    forEachDumpedGroup([&](const metrics::Group &g) {
+        g.dump(os, engine_.curTick());
+    });
 }
 
 void
@@ -149,21 +153,11 @@ System::dumpStatsJson(std::ostream &os) const
 {
     os << "{\"ticks\":" << engine_.curTick() << ",\"groups\":[";
     bool first = true;
-    for (const auto &n : nodes_) {
-        if (!first)
-            os << ",";
+    forEachDumpedGroup([&](const metrics::Group &g) {
+        os << (first ? "\n" : ",\n");
         first = false;
-        os << "\n";
-        n->ni().statGroup().dumpJson(os);
-        if (auto *p = n->transportPolicy()) {
-            os << ",\n";
-            p->statGroup()->dumpJson(os);
-        }
-    }
-    if (!first)
-        os << ",";
-    os << "\n";
-    mesh_->statGroup().dumpJson(os);
+        g.dumpJson(os, engine_.curTick());
+    });
     os << "\n]}\n";
 }
 

@@ -115,6 +115,10 @@ class System
            const std::vector<NodeConfig> &cfgs, unsigned shards,
            EventQueue::Impl eq_impl = EventQueue::Impl::calendar);
 
+    /** Snapshots the telemetry of every shard queue into this
+     *  thread's metrics registry, if one is installed. */
+    ~System();
+
     unsigned numNodes() const
     {
         return static_cast<unsigned>(nodes_.size());
@@ -153,15 +157,29 @@ class System
      */
     bool run(Tick max_ticks = 10'000'000);
 
-    /** Dump every component's statistics (gem5-style name/value
-     *  lines): per-node NI counters and the mesh latency profile. */
+    /** Dump the NI, transport-policy and mesh series
+     *  (gem5-style name/value lines; see metrics::Group::dump). */
     void dumpStats(std::ostream &os) const;
 
-    /** Dump the same statistics as machine-readable JSON:
+    /** Dump the same series as machine-readable JSON:
      *  {"ticks":N,"groups":[{"name":...,"stats":{...}}, ...]}. */
     void dumpStatsJson(std::ostream &os) const;
 
   private:
+    /** Call @p f on each dumped group: every node's NI and transport
+     *  policy, then the mesh. */
+    template <typename F>
+    void
+    forEachDumpedGroup(F f) const
+    {
+        for (const auto &n : nodes_) {
+            f(n->ni().stats());
+            if (auto *p = n->transportPolicy())
+                f(p->stats());
+        }
+        f(mesh_->stats());
+    }
+
     ShardPlan plan_;
     ShardedEngine engine_;
     std::unique_ptr<MeshNetwork> mesh_;

@@ -54,12 +54,17 @@ class PacedPolicy : public Policy
         : Policy(cfg), rate_(cfg.paceRate),
           tokens_(static_cast<uint64_t>(cfg.paceBurst) * rateOne)
     {
-        rateFp_ = static_cast<int64_t>(rate_);
+        stats_.addCounter("md_events", &mdEvents_,
+                          "multiplicative decreases");
+        stats_.addCounter("ai_steps", &aiSteps_,
+                          "additive-increase steps applied");
+        stats_.addGauge("rate_fp", &rate_,
+                        "pacing rate, rateOne fixed point per tick");
+        stats_.addGauge("tokens_fp", &tokens_,
+                        "bucket level, rateOne fixed point");
+        stats_.addGauge("min_delay", &minDelayAll_,
+                        "best per-destination baseline delivery delay");
     }
-
-    // The metrics lambdas below read members of THIS class; retire
-    // them before those members are destroyed.
-    ~PacedPolicy() override { retireMetrics(); }
 
     const char *name() const override { return "paced"; }
 
@@ -118,15 +123,16 @@ class PacedPolicy : public Policy
         for (uint32_t i = 0; i < count && !q.empty(); ++i) {
             const uint64_t sample = now - q.front();
             q.pop_front();
-            if (sample < min_delay)
+            if (sample < min_delay) {
                 min_delay = sample;
-            else if (sample > kDelayMult * min_delay)
+                minDelayAll_ = minDelayAll_ ? std::min(minDelayAll_, sample)
+                                            : sample;
+            } else if (sample > kDelayMult * min_delay)
                 congested = true;
         }
         if (congested && now >= lastDelayMd_ + cfg_.paceAiInterval) {
             settle(now);
-            rate_ = std::max(cfg_.paceMinRate, rate_ / 2);
-            rateFp_ = rate_;
+            rate_ = std::max<uint64_t>(cfg_.paceMinRate, rate_ / 2);
             ++mdEvents_;
             lastDelayMd_ = now;
             aiAnchor_ = holdoffAnchor(now);
@@ -139,8 +145,7 @@ class PacedPolicy : public Policy
         Policy::onOafull(asserted, now);
         settle(now);
         if (asserted) {
-            rate_ = std::max(cfg_.paceMinRate, rate_ / 2);
-            rateFp_ = rate_;
+            rate_ = std::max<uint64_t>(cfg_.paceMinRate, rate_ / 2);
             ++mdEvents_;
             oafullNow_ = true;
             aiAnchor_ = holdoffAnchor(now);
@@ -153,43 +158,10 @@ class PacedPolicy : public Policy
         }
     }
 
-  protected:
-    void
-    addStats(stats::StatGroup &g) override
-    {
-        g.addScalar("mdEvents", &mdEvents_,
-                    "multiplicative decreases (oafull rising edges)");
-        g.addScalar("aiSteps", &aiSteps_,
-                    "additive-increase steps applied");
-        g.addScalar("rateFp", &rateFp_,
-                    "pacing rate, rateOne fixed point per tick");
-    }
-
-    void
-    addMetrics(metrics::Group &g) override
-    {
-        g.addCounter("md_events",
-                     [this] { return mdEvents_.value(); },
-                     "multiplicative decreases");
-        g.addGauge("rate_fp", [this] { return rate_; },
-                   "pacing rate, rateOne fixed point per tick");
-        g.addGauge("tokens_fp", [this] { return tokens_; },
-                   "bucket level, rateOne fixed point");
-        g.addGauge("min_delay",
-                   [this] {
-                       uint64_t best = 0;
-                       for (const auto &[dst, d] : minDelay_)
-                           if (d != UINT64_MAX && (!best || d < best))
-                               best = d;
-                       return best;
-                   },
-                   "best per-destination baseline delivery delay");
-    }
-
   private:
     struct Projection
     {
-        uint32_t rate;
+        uint64_t rate;
         uint64_t tokens;
         Tick aiAnchor;
         uint64_t aiSteps;
@@ -205,8 +177,7 @@ class PacedPolicy : public Policy
             // Refill at the pre-adaptation rate over the whole span
             // (conservative and exactly reproducible), then adapt.
             p.tokens = std::min(
-                p.tokens + static_cast<uint64_t>(rate_) *
-                               (now - lastSettle_),
+                p.tokens + rate_ * (now - lastSettle_),
                 static_cast<uint64_t>(cfg_.paceBurst) * rateOne);
         }
         if (now > p.aiAnchor) {
@@ -219,14 +190,14 @@ class PacedPolicy : public Policy
                     // too high, so halve again and re-arm the holdoff
                     // (TCP would see one loss per RTT).
                     p.mdSteps = 1;
-                    p.rate = std::max(cfg_.paceMinRate, p.rate / 2);
+                    p.rate =
+                        std::max<uint64_t>(cfg_.paceMinRate, p.rate / 2);
                     p.aiAnchor = holdoffAnchor(now);
                 } else {
                     p.aiSteps = steps;
-                    p.rate = static_cast<uint32_t>(std::min<uint64_t>(
-                        static_cast<uint64_t>(p.rate) +
-                            steps * cfg_.paceAiStep,
-                        cfg_.paceMaxRate));
+                    p.rate = std::min<uint64_t>(
+                        p.rate + steps * cfg_.paceAiStep,
+                        cfg_.paceMaxRate);
                     p.aiAnchor += steps * cfg_.paceAiInterval;
                 }
             }
@@ -253,17 +224,14 @@ class PacedPolicy : public Policy
         tokens_ = p.tokens;
         aiAnchor_ = p.aiAnchor;
         lastSettle_ = std::max(lastSettle_, now);
-        if (p.aiSteps || p.mdSteps) {
-            aiSteps_ += static_cast<int64_t>(p.aiSteps);
-            mdEvents_ += static_cast<int64_t>(p.mdSteps);
-            rateFp_ = rate_;
-        }
+        aiSteps_ += p.aiSteps;
+        mdEvents_ += p.mdSteps;
     }
 
     /** Delivery delay considered congested, in baselines. */
     static constexpr uint64_t kDelayMult = 4;
 
-    uint32_t rate_;
+    uint64_t rate_;    //!< rateOne fixed point per tick
     uint64_t tokens_;
     Tick lastSettle_ = 0;
     Tick aiAnchor_ = 0;
@@ -274,11 +242,13 @@ class PacedPolicy : public Policy
     /** Baseline (minimum observed) delivery delay per destination;
      *  0 means "no sample yet". */
     std::map<NodeId, uint64_t> minDelay_;
+    /** Smallest of the per-destination baselines (they only fall);
+     *  0 means "no sample yet". */
+    uint64_t minDelayAll_ = 0;
     Tick lastDelayMd_ = 0;
 
-    stats::Scalar mdEvents_;
-    stats::Scalar aiSteps_;
-    stats::Scalar rateFp_;
+    uint64_t mdEvents_ = 0;
+    uint64_t aiSteps_ = 0;
 };
 
 } // namespace

@@ -7,16 +7,16 @@ namespace tcpni
 namespace transport
 {
 
-Policy::~Policy()
+Policy::Policy(const TransportConfig &cfg) : cfg_(cfg)
 {
-    retireMetrics();
-}
-
-void
-Policy::retireMetrics()
-{
-    if (mgroup_)
-        mgroup_->retire();
+    stats_.addCounter("holds", &holds_,
+                      "send attempts held by the policy");
+    stats_.addCounter("admits", &admits_,
+                      "messages admitted to the output queue");
+    stats_.addCounter("credits", &creditsReturned_,
+                      "delivery credits folded in");
+    stats_.addCounter("oafull_edges", &oafullEdges_,
+                      "oafull edges observed");
 }
 
 void
@@ -35,41 +35,6 @@ void
 Policy::onCredit(NodeId, uint32_t count, Tick)
 {
     creditsReturned_ += count;
-}
-
-void
-Policy::initStats(const std::string &group_name)
-{
-    sgroup_ = std::make_unique<stats::StatGroup>(group_name);
-    sgroup_->addScalar("holds", &holds_,
-                       "send attempts held by the policy");
-    sgroup_->addScalar("admits", &admits_,
-                       "messages admitted to the output queue");
-    sgroup_->addScalar("creditsReturned", &creditsReturned_,
-                       "delivery credits folded in");
-    sgroup_->addScalar("oafullEdges", &oafullEdges_,
-                       "oafull edges observed");
-    addStats(*sgroup_);
-}
-
-void
-Policy::attachMetrics(const std::string &name, EventQueue &eq)
-{
-    auto *r = metrics::registry();
-    if (!r)
-        return;
-    mgroup_ = r->addGroup(name, eq);
-    mgroup_->addCounter("holds", [this] { return holds_.value(); },
-                        "send attempts held by the policy");
-    mgroup_->addCounter("admits", [this] { return admits_.value(); },
-                        "messages admitted to the output queue");
-    mgroup_->addCounter("credits",
-                        [this] { return creditsReturned_.value(); },
-                        "delivery credits folded in");
-    mgroup_->addCounter("oafull_edges",
-                        [this] { return oafullEdges_.value(); },
-                        "oafull edges observed");
-    addMetrics(*mgroup_);
 }
 
 namespace

@@ -56,7 +56,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "metrics/metrics.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
@@ -110,12 +109,16 @@ enum class Verdict : uint8_t
  * One node's transport policy instance.  Construct through
  * makePolicy(); the NetworkInterface consults it through the hooks
  * below.  All hooks run on the owning node's event queue.
+ *
+ * The base and each derived constructor register their series in
+ * stats(); the owner names the group and binds it to the node's queue
+ * with metrics::Group::attach().
  */
 class Policy
 {
   public:
-    explicit Policy(const TransportConfig &cfg) : cfg_(cfg) {}
-    virtual ~Policy();
+    explicit Policy(const TransportConfig &cfg);
+    virtual ~Policy() = default;
 
     /** Registry name of this policy. */
     virtual const char *name() const = 0;
@@ -149,52 +152,27 @@ class Policy
 
     /** @{ Base accounting, maintained by the hook default impls
      *     (overriders must call the base). */
-    int64_t holds() const { return holds_.value(); }
-    int64_t admits() const { return admits_.value(); }
-    int64_t creditsReturned() const { return creditsReturned_.value(); }
-    int64_t oafullEdges() const { return oafullEdges_.value(); }
+    int64_t holds() const { return int64_t(holds_); }
+    int64_t admits() const { return int64_t(admits_); }
+    int64_t creditsReturned() const { return int64_t(creditsReturned_); }
+    int64_t oafullEdges() const { return int64_t(oafullEdges_); }
     /** @} */
 
     /** Count one hold verdict; policies call this from gate(). */
     void countHold() { ++holds_; }
 
-    /** Build the stat group (dumped by System::dumpStats) and let the
-     *  policy add its own entries. */
-    void initStats(const std::string &group_name);
-
-    stats::StatGroup *statGroup() { return sgroup_.get(); }
-    const stats::StatGroup *statGroup() const { return sgroup_.get(); }
-
-    /** Register a metrics group when a registry is installed (inert
-     *  otherwise), mirroring the NI's telemetry pattern. */
-    void attachMetrics(const std::string &name, EventQueue &eq);
+    metrics::Group &stats() { return stats_; }
+    const metrics::Group &stats() const { return stats_; }
 
   protected:
-    /** Policy-specific stat entries. */
-    virtual void addStats(stats::StatGroup &) {}
-    /** Policy-specific metrics series. */
-    virtual void addMetrics(metrics::Group &) {}
-
-    /**
-     * Snapshot and detach this policy's metrics series.  A policy
-     * whose addMetrics() lambdas capture members of the DERIVED
-     * class must call this from its own destructor: the base
-     * destructor also retires (covering policies with base-only
-     * series), but by then the derived members the lambdas read are
-     * already gone.  Idempotent.
-     */
-    void retireMetrics();
-
     TransportConfig cfg_;
 
-    stats::Scalar holds_;           //!< gate() hold verdicts
-    stats::Scalar admits_;          //!< messages admitted
-    stats::Scalar creditsReturned_; //!< delivery credits folded in
-    stats::Scalar oafullEdges_;     //!< oafull edges observed
+    uint64_t holds_ = 0;           //!< gate() hold verdicts
+    uint64_t admits_ = 0;          //!< messages admitted
+    uint64_t creditsReturned_ = 0; //!< delivery credits folded in
+    uint64_t oafullEdges_ = 0;     //!< oafull edges observed
 
-  private:
-    std::unique_ptr<stats::StatGroup> sgroup_;
-    std::shared_ptr<metrics::Group> mgroup_;
+    metrics::Group stats_;
 };
 
 /** A registered policy: name, origin (for duplicate diagnostics, as

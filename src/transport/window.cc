@@ -11,7 +11,7 @@
  * flow, so an incast cannot pile every client's full output queue into
  * the server's mesh neighborhood.
  *
- * Stall accounting is time-weighted: exhaustedDstTicks integrates the
+ * Stall accounting is time-weighted: exhausted_dst_ticks integrates the
  * number of destinations sitting at the window limit over time (a
  * destination that stays exhausted for 1000 ticks weighs 1000x one
  * that blips), which is the number the serving harness correlates
@@ -22,6 +22,7 @@
  * event queue.
  */
 
+#include <algorithm>
 #include <map>
 
 #include "common/logging.hh"
@@ -38,11 +39,17 @@ namespace
 class WindowPolicy : public Policy
 {
   public:
-    explicit WindowPolicy(const TransportConfig &cfg) : Policy(cfg) {}
-
-    // The metrics lambdas below read members of THIS class; retire
-    // them before those members are destroyed.
-    ~WindowPolicy() override { retireMetrics(); }
+    explicit WindowPolicy(const TransportConfig &cfg) : Policy(cfg)
+    {
+        stats_.addIntegral("exhausted_dst_ticks", &exhausted_,
+                           "destination-ticks spent at the window "
+                           "limit");
+        stats_.addGauge("exhausted_dsts", &exhausted_.level,
+                        "destinations currently at the window limit");
+        stats_.addGauge("peak_exhausted_dsts", &peakExhausted_,
+                        "most destinations simultaneously at the "
+                        "limit");
+    }
 
     const char *name() const override { return "window"; }
 
@@ -87,51 +94,19 @@ class WindowPolicy : public Policy
 
     bool wantsCredits() const override { return true; }
 
-  protected:
-    void
-    addStats(stats::StatGroup &g) override
-    {
-        g.addScalar("exhaustedDstTicks", &exhaustedDstTicks_,
-                    "time integral of destinations at the window "
-                    "limit (destination-ticks)");
-        g.addScalar("peakExhaustedDsts", &peakExhausted_,
-                    "most destinations simultaneously at the limit");
-    }
-
-    void
-    addMetrics(metrics::Group &g) override
-    {
-        g.addCounter("exhausted_dst_ticks",
-                     [this] {
-                         return static_cast<uint64_t>(
-                             exhaustedDstTicks_.value());
-                     },
-                     "destination-ticks spent at the window limit");
-        g.addGauge("exhausted_dsts",
-                   [this] { return exhausted_; },
-                   "destinations currently at the window limit");
-    }
-
   private:
     void
     setExhausted(int delta, Tick now)
     {
-        if (now > lastLevelTick_) {
-            exhaustedDstTicks_ +=
-                static_cast<int64_t>(exhausted_) *
-                static_cast<int64_t>(now - lastLevelTick_);
-            lastLevelTick_ = now;
-        }
-        exhausted_ += delta;
-        if (static_cast<int64_t>(exhausted_) > peakExhausted_.value())
-            peakExhausted_ = exhausted_;
+        exhausted_.set(exhausted_.level + delta, now);
+        peakExhausted_ = std::max(peakExhausted_, exhausted_.level);
     }
 
     std::map<NodeId, uint32_t> inFlight_;
-    uint64_t exhausted_ = 0;   //!< destinations at the window limit
-    Tick lastLevelTick_ = 0;
-    stats::Scalar exhaustedDstTicks_;
-    stats::Scalar peakExhausted_;
+    /** Destinations at the window limit (level), integrated over
+     *  time. */
+    metrics::Integral exhausted_;
+    uint64_t peakExhausted_ = 0;
 };
 
 } // namespace

@@ -1,28 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/stats.hh"
 
 using namespace tcpni;
 using namespace tcpni::stats;
-
-TEST(Scalar, IncrementAndAssign)
-{
-    Scalar s;
-    EXPECT_EQ(s.value(), 0);
-    ++s;
-    ++s;
-    EXPECT_EQ(s.value(), 2);
-    s += 10;
-    EXPECT_EQ(s.value(), 12);
-    s = 5;
-    EXPECT_EQ(s.value(), 5);
-    s.reset();
-    EXPECT_EQ(s.value(), 0);
-}
 
 TEST(Vector, GrowsOnDemand)
 {
@@ -113,96 +96,12 @@ TEST(Distribution, SingleSampleStddevIsZero)
     EXPECT_FALSE(std::isnan(d.stddev()));
 }
 
-TEST(TimeWeighted, TimeWeightedAverage)
-{
-    TimeWeighted tw;
-    tw.update(4, 0);        // level 4 from tick 0
-    tw.update(0, 10);       // ...until tick 10, then empty
-    tw.update(0, 20);       // stays empty until tick 20
-    // 4*10 + 0*10 over 20 ticks = 2.0, even though 2 of the 3 samples
-    // were 0 (a sample-weighted mean would say 1.33).
-    EXPECT_DOUBLE_EQ(tw.avg(), 2.0);
-    EXPECT_EQ(tw.max(), 4u);
-    EXPECT_EQ(tw.current(), 0u);
-}
-
-TEST(TimeWeighted, NoTimeElapsed)
-{
-    TimeWeighted tw;
-    EXPECT_DOUBLE_EQ(tw.avg(), 0.0);
-    tw.update(3, 0);
-    EXPECT_DOUBLE_EQ(tw.avg(), 3.0);    // degenerate: current level
-    EXPECT_EQ(tw.max(), 3u);
-}
-
 TEST(Distribution, WeightedSamples)
 {
     Distribution d(0, 10, 10);
     d.sample(2.0, 3);
     EXPECT_EQ(d.count(), 3);
     EXPECT_DOUBLE_EQ(d.mean(), 2.0);
-}
-
-TEST(StatGroup, DumpFormat)
-{
-    Scalar s;
-    s = 42;
-    StatGroup g("node0.ni");
-    g.addScalar("sent", &s, "messages sent");
-    std::ostringstream os;
-    g.dump(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("node0.ni.sent"), std::string::npos);
-    EXPECT_NE(out.find("42"), std::string::npos);
-    EXPECT_NE(out.find("messages sent"), std::string::npos);
-}
-
-TEST(StatGroup, DumpVector)
-{
-    Vector v(2);
-    v[0] = 1;
-    v[1] = 2;
-    StatGroup g("g");
-    g.addVector("counts", &v);
-    std::ostringstream os;
-    g.dump(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("g.counts[0]"), std::string::npos);
-    EXPECT_NE(out.find("g.counts.total"), std::string::npos);
-}
-
-TEST(StatGroup, DumpJson)
-{
-    Scalar s;
-    s = 7;
-    Vector v(2);
-    v[0] = 1;
-    v[1] = 2;
-    Distribution d(0, 10, 2);
-    d.sample(1);
-    d.sample(9);
-    TimeWeighted tw;
-    tw.update(2, 0);
-    tw.update(0, 4);
-
-    StatGroup g("node0.ni");
-    g.addScalar("sent", &s, "messages sent");
-    g.addVector("byType", &v);
-    g.addDistribution("latency", &d);
-    g.addTimeWeighted("occupancy", &tw);
-
-    std::ostringstream os;
-    g.dumpJson(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("\"name\":\"node0.ni\""), std::string::npos);
-    EXPECT_NE(out.find("\"sent\":7"), std::string::npos);
-    EXPECT_NE(out.find("\"total\":3"), std::string::npos);
-    EXPECT_NE(out.find("\"count\":2"), std::string::npos);
-    EXPECT_NE(out.find("\"mean\":5"), std::string::npos);
-    EXPECT_NE(out.find("\"avg\":2"), std::string::npos);
-    // Must be one syntactically balanced object.
-    EXPECT_EQ(std::count(out.begin(), out.end(), '{'),
-              std::count(out.begin(), out.end(), '}'));
 }
 
 TEST(JsonEscape, SpecialCharacters)

@@ -1,13 +1,16 @@
 /**
  * @file
- * Unit tests for the metrics registry, group retirement, cross-
- * simulation aggregation, the periodic Sampler, and the determinism
- * contract: the Collector's JSON/CSV output must be byte-identical
- * whether the sweep tasks ran serially or on a 4-worker pool.
+ * Unit tests for the telemetry registry: plain-data series, the
+ * time-integral record, the text/JSON group dumps, snapshots taken
+ * while components are alive, cross-simulation aggregation, the
+ * periodic Sampler, and the determinism contract: the Collector's
+ * JSON/CSV output must be byte-identical whether the sweep tasks ran
+ * serially or on a 4-worker pool.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -23,63 +26,158 @@ namespace tcpni::metrics
 namespace
 {
 
-/** A tiny fake component: registers a group, bumps counters from
- *  events, and retires its group on destruction like real SimObjects
- *  do. */
+/** A tiny fake component: one counter, one gauge, one histogram and
+ *  one time integral, registered as plain data. */
 struct FakeNic
 {
-    FakeNic(const std::string &name, EventQueue &eq)
+    FakeNic(const std::string &name, EventQueue &eq) : group(name, eq)
     {
-        if (auto *r = registry()) {
-            group = r->addGroup(name, eq);
-            group->addCounter("sent", [this] { return sent; });
-            group->addGauge("depth", [this] { return depth; });
-            group->addHistogram("lat", &lat);
-        }
-    }
-
-    ~FakeNic()
-    {
-        if (group)
-            group->retire();
+        group.addCounter("sent", &sent, "messages sent");
+        group.addGauge("depth", &depth, "queue depth");
+        group.addHistogram("lat", &lat, "latency");
+        group.addIntegral("occ", &occ, "occupancy integral");
     }
 
     uint64_t sent = 0;
     uint64_t depth = 0;
     Histogram lat;
-    std::shared_ptr<Group> group;
+    Integral occ;
+    Group group;
 };
+
+TEST(TimeWeighted, TimeWeightedAverage)
+{
+    Integral tw;
+    tw.set(4, 0);        // level 4 from tick 0
+    tw.set(0, 10);       // ...until tick 10, then empty
+    tw.set(0, 20);       // stays empty until tick 20
+    // 4*10 + 0*10 over 20 ticks = 2.0, even though 2 of the 3 updates
+    // were 0 (a sample-weighted mean would say 1.33).
+    EXPECT_EQ(tw.at(20), 40u);
+    EXPECT_DOUBLE_EQ(static_cast<double>(tw.at(20)) / 20, 2.0);
+    EXPECT_EQ(tw.level, 0u);
+    // The open interval counts at read time.
+    tw.set(3, 20);
+    EXPECT_EQ(tw.at(25), 55u);
+}
+
+TEST(TimeWeighted, NoTimeElapsed)
+{
+    Integral tw;
+    EXPECT_EQ(tw.at(0), 0u);
+    tw.set(3, 0);
+    EXPECT_EQ(tw.at(0), 0u);     // no time at level 3 yet
+    EXPECT_EQ(tw.level, 3u);
+    tw.set(5, 0);                // a same-tick change folds nothing
+    EXPECT_EQ(tw.at(2), 10u);
+}
+
+TEST(MetricsGroup, DumpFormat)
+{
+    EventQueue eq;
+    FakeNic nic("node0.ni", eq);
+    nic.sent = 42;
+    nic.lat.record(7);
+    std::ostringstream os;
+    nic.group.dump(os, 0);
+    std::string out = os.str();
+    EXPECT_NE(out.find("node0.ni.sent"), std::string::npos);
+    EXPECT_NE(out.find("42"), std::string::npos);
+    EXPECT_NE(out.find("# messages sent"), std::string::npos);
+    EXPECT_NE(out.find("node0.ni.lat.p99"), std::string::npos);
+}
+
+TEST(MetricsGroup, DumpJson)
+{
+    EventQueue eq;
+    FakeNic nic("node0.ni", eq);
+    nic.sent = 7;
+    nic.depth = 3;
+    nic.lat.record(1);
+    nic.lat.record(9);
+    nic.occ.set(2, 0);
+    nic.occ.set(0, 4);
+
+    std::ostringstream os;
+    nic.group.dumpJson(os, 10);
+    std::string out = os.str();
+    EXPECT_EQ(out, "{\"name\":\"node0.ni\",\"stats\":{\"sent\":7,"
+                   "\"depth\":3,\"lat\":{\"count\":2,\"min\":1,"
+                   "\"max\":9,\"mean\":5,\"p50\":1,\"p90\":9,"
+                   "\"p99\":9,\"p999\":9},\"occ\":8}}");
+}
 
 TEST(Metrics, NoRegistryMeansNoGroup)
 {
     ASSERT_EQ(registry(), nullptr);
     EventQueue eq;
     FakeNic nic("ni0", eq);
-    EXPECT_EQ(nic.group, nullptr);
+    EXPECT_FALSE(nic.group.linked());
 }
 
-TEST(Metrics, RetireSnapshotsFinalValues)
+TEST(Metrics, SnapshotKeepsFinalValues)
 {
     Registry reg(0);
     setRegistry(&reg);
     {
         EventQueue eq;
         FakeNic nic("ni0", eq);
+        EXPECT_TRUE(nic.group.linked());
         nic.sent = 42;
         nic.depth = 7;
         nic.lat.record(100);
+        nic.occ.set(2, 0);
+        snapshot(eq, 5);
+        EXPECT_FALSE(nic.group.linked());
+        // Later changes are not seen: the snapshot is final.
+        nic.sent = 1000;
     }
     setRegistry(nullptr);
-    // The component is gone; finalize must report the values captured
-    // at retire time without touching any dead closure.
+    // The component is gone; finalize reports the snapshot.
     TaskMetrics tm = reg.finalize("t");
     ASSERT_EQ(tm.groups.size(), 1u);
     EXPECT_EQ(tm.groups[0].name, "ni0");
-    ASSERT_EQ(tm.groups[0].series.size(), 3u);
-    EXPECT_EQ(tm.groups[0].series[0].name, "sent");
-    EXPECT_EQ(tm.groups[0].series[0].value, 42u);
-    EXPECT_EQ(tm.groups[0].series[1].value, 7u);
-    EXPECT_EQ(tm.groups[0].series[2].hist.count(), 1u);
+    const auto &s = tm.groups[0].series;
+    ASSERT_EQ(s.size(), 4u);
+    EXPECT_EQ(s[0].name, "sent");
+    EXPECT_EQ(s[0].value, 42u);
+    EXPECT_EQ(s[1].value, 7u);
+    EXPECT_EQ(s[1].peak, 7u);
+    EXPECT_EQ(s[2].hist.count(), 1u);
+    // The integral is exported as a counter, read at the snapshot
+    // tick: level 2 held over [0, 5).
+    EXPECT_EQ(s[3].kind, Kind::counter);
+    EXPECT_EQ(s[3].value, 10u);
+}
+
+TEST(Metrics, UnsnapshottedGroupIsLeftOut)
+{
+    // A component destroyed without a snapshot only unlinks: the
+    // registry never reads it again, and its series are not reported.
+    Registry reg(0);
+    setRegistry(&reg);
+    {
+        EventQueue eq;
+        FakeNic kept("kept", eq);
+        kept.sent = 3;
+        {
+            FakeNic early("early", eq);
+            early.sent = 9;
+        }
+        snapshot(eq, eq.curTick());
+        EXPECT_FALSE(kept.group.linked());
+    }
+    {
+        EventQueue eq;
+        FakeNic dropped("dropped", eq);
+        dropped.sent = 5;
+    }
+    setRegistry(nullptr);
+    TaskMetrics tm = reg.finalize("t");
+    EXPECT_EQ(tm.sims, 2u);
+    ASSERT_EQ(tm.groups.size(), 1u);
+    EXPECT_EQ(tm.groups[0].name, "kept");
+    EXPECT_EQ(tm.groups[0].series[0].value, 3u);
 }
 
 TEST(Metrics, GroupsMergeAcrossSimulations)
@@ -94,13 +192,14 @@ TEST(Metrics, GroupsMergeAcrossSimulations)
         nic.sent = sim == 0 ? 10 : 32;
         nic.depth = sim == 0 ? 9 : 4;
         nic.lat.record(sim == 0 ? 50 : 500);
+        snapshot(eq, eq.curTick());
     }
     setRegistry(nullptr);
     TaskMetrics tm = reg.finalize("t");
     EXPECT_EQ(tm.sims, 2u);
     ASSERT_EQ(tm.groups.size(), 1u);
     const auto &s = tm.groups[0].series;
-    ASSERT_EQ(s.size(), 3u);
+    ASSERT_EQ(s.size(), 4u);
     EXPECT_EQ(s[0].value, 42u);      // counter: 10 + 32
     EXPECT_EQ(s[1].value, 4u);       // gauge: last simulation's value
     EXPECT_EQ(s[1].peak, 9u);        // gauge: peak across both
@@ -129,6 +228,7 @@ TEST(Metrics, SamplerRecordsTimeSeries)
         }
         eq.run();
         nic.depth = 0;
+        snapshot(eq, eq.curTick());
     }
     setRegistry(nullptr);
     TaskMetrics tm = reg.finalize("t");
@@ -210,6 +310,7 @@ sweepTask(Collector &collector, size_t slot)
         eq.schedule(events.back().get(), t);
     }
     eq.run();
+    snapshot(eq, eq.curTick());
 }
 
 std::string

@@ -60,6 +60,18 @@ jsonDepth(const std::string &s)
     return in_string ? -1 : depth;
 }
 
+/** A one-counter simulation that snapshots its telemetry when it is
+ *  torn down, as sys::System does -- here while the abort unwinds. */
+struct Victim
+{
+    Victim() { group.addCounter("progress", &progress, "work done"); }
+    ~Victim() { metrics::snapshot(eq, eq.curTick()); }
+
+    EventQueue eq;
+    uint64_t progress = 21;
+    metrics::Group group{"victim", eq};
+};
+
 /** An experiment that records one lifecycle event, registers one
  *  metric counter, then dies mid-run. */
 ExperimentRegistry
@@ -74,20 +86,11 @@ boomRegistry()
         true,  // --trace
         [](const Context &ctx) -> int {
             auto ms = ctx.taskMetrics(0, "doomed");
-            EventQueue eq;
-            std::shared_ptr<metrics::Group> group;
-            uint64_t progress = 21;
-            if (auto *r = metrics::registry()) {
-                group = r->addGroup("victim", eq);
-                group->addCounter("progress",
-                                  [&progress] { return progress; });
-            }
+            Victim victim;
             if (auto *s = trace::sink()) {
                 s->record(7, trace::Stage::inject, 0, 100, 2);
                 s->record(7, trace::Stage::arrive, 1, 140, 2);
             }
-            if (group)
-                group->retire();
             panic("simulated mid-run failure");
         },
     });

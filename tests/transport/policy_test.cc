@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "metrics/metrics.hh"
 #include "sim/event_queue.hh"
@@ -198,25 +200,25 @@ TEST(PacedPolicy, AdditiveIncreaseRecoversWhenClear)
     EXPECT_FALSE(p->wouldHold(1, 4097));
 }
 
-TEST(PolicyMetrics, RetireOutlivesTheDerivedPolicy)
+TEST(PolicyMetrics, SnapshotOutlivesTheDerivedPolicy)
 {
-    // Every policy's metrics lambdas must be retired while the
-    // derived object (whose members they read) is still alive: the
-    // registry finalizes AFTER the policies are destroyed, exactly
-    // like a sweep task tearing down its System before the TaskScope
-    // deposits.  A policy that leaves retirement to the base
-    // destructor reads freed derived members here (the sanitizer CI
-    // job turns that into a hard failure).
+    // Every policy's series -- base and derived -- are read by the
+    // snapshot while the policy is alive; the registry finalizes
+    // AFTER the policies are destroyed, exactly like a sweep task
+    // tearing down its System before the TaskScope deposits, and must
+    // not touch them again (the sanitizer CI job turns a stray read
+    // into a hard failure).
     metrics::Registry reg(0);
     metrics::setRegistry(&reg);
     {
         EventQueue eq;
+        std::vector<std::unique_ptr<transport::Policy>> policies;
         for (const char *name : {"naive", "window", "paced"}) {
             TransportConfig cfg;
             cfg.policy = name;
             cfg.window = 1;
             auto p = transport::makePolicy(cfg);
-            p->attachMetrics(std::string("tp.") + name, eq);
+            p->stats().attach(std::string("tp.") + name, eq);
             // Populate the derived state the gauges read (window
             // exhaustion level, paced per-destination baselines).
             p->gate(1, 1);
@@ -225,13 +227,28 @@ TEST(PolicyMetrics, RetireOutlivesTheDerivedPolicy)
             p->onOafull(true, 3);
             p->onCredit(1, 1, 5);
             p->onOafull(false, 6);
+            policies.push_back(std::move(p));
         }
+        metrics::snapshot(eq, 8);
     }
     metrics::setRegistry(nullptr);
     metrics::TaskMetrics tm = reg.finalize("t");
     ASSERT_EQ(tm.groups.size(), 3u);
+    EXPECT_EQ(tm.groups[0].series.size(), 4u);
     for (const auto &g : tm.groups)
         EXPECT_GE(g.series.size(), 4u) << g.name;
+    // window: one destination at the limit over [1, 5).
+    const auto &w = tm.groups[1];
+    EXPECT_EQ(w.series[4].name, "exhausted_dst_ticks");
+    EXPECT_EQ(w.series[4].value, 4u);
+    // paced: the one delivery took 4 ticks.
+    const auto &pc = tm.groups[2].series;
+    auto min_delay =
+        std::find_if(pc.begin(), pc.end(), [](const auto &s) {
+            return s.name == "min_delay";
+        });
+    ASSERT_NE(min_delay, pc.end());
+    EXPECT_EQ(min_delay->value, 4u);
 }
 
 } // namespace
