@@ -10,8 +10,7 @@
  * the classic high-dynamic-range histogram layout: O(1) record, fixed
  * small footprint regardless of the value range, and percentiles that
  * stay accurate into the tail -- which is what the incast/tail-latency
- * experiments need and what a linear-bucket stats::Distribution cannot
- * provide.
+ * experiments need and what fixed linear buckets cannot provide.
  *
  * Exact count, sum, min and max are kept alongside the buckets, so
  * count()/mean()/min()/max() are exact even though percentiles are

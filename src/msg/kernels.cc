@@ -157,461 +157,30 @@ optVariantBanks(bool reg_mapped, bool has_escape, bool collectives)
 }
 
 /**
- * Base-table dispatch slots for the collective types (9..12): the
- * bodies are far larger than a 128-byte slot, so each slot is one
- * branch.  The h_* labels double as the static verifier's marker that
- * this kernel implements the collective protocol (verify/contract.cc
- * keys the extra required types off `h_barup`).
+ * Base-table dispatch slots 7..@p last.  Slots 9..12 dispatch the
+ * collective types when @p collectives: the bodies are far larger than
+ * a 128-byte slot, so each slot is one branch to `coll_<name>`.  The
+ * h_* labels double as the static verifier's marker that this kernel
+ * implements the collective protocol (verify/contract.cc keys the
+ * extra required types off `h_barup`).  Every other slot is an
+ * unassigned type and halts loudly.
  */
 std::string
-optCollSlots()
+optMiddleSlots(bool collectives, unsigned last)
 {
-    static const struct { const char *slot, *body; } slots[] = {
-        {"h_barup", "coll_barup"}, {"h_bardn", "coll_bardn"},
-        {"h_mcast", "coll_mcast"}, {"h_reduce", "coll_reduce"},
-    };
+    static const char *coll[] = {"barup", "bardn", "mcast", "reduce"};
     std::ostringstream os;
-    for (const auto &s : slots) {
-        os << "    .region dispatching\n"
-           << s.slot << ":\n"
-           << "    br   " << s.body << "\n"
-           << "    nop\n" << slotAlign;
+    for (unsigned s = 7; s <= last; ++s) {
+        if (collectives && s >= typeBarUp && s <= typeReduce) {
+            const char *name = coll[s - typeBarUp];
+            os << "    .region dispatching\n"
+               << "h_" << name << ":\n"
+               << "    br   coll_" << name << "\n"
+               << "    nop\n" << slotAlign;
+        } else {
+            os << "    halt\n" << slotAlign;
+        }
     }
-    return os.str();
-}
-
-/**
- * The collective handler bodies shared by the register-coupled
- * handler sets (optimized register-mapped host kernels and the HPU).
- * Dispatch slots 9..12 branch here.  The discipline the protocol
- * analyzer certifies:
- *
- *  - consume-before-send: every path copies its input words into
- *    scalars and retires the input-queue slot (NEXT) before its first
- *    SEND, so a full input queue can always drain (proto-deadlock);
- *  - static hop decrement: every retransmitted tree message carries
- *    hop-1 in word 1, computed from i1 before NEXT, bounding the
- *    fan-out statically (proto-forward);
- *  - the combine frame is an I-structure: CF_COUNT is armed to fan+1,
- *    these handlers are its only writers, and the join re-arms the
- *    count and accumulator before any send, so back-to-back
- *    collectives pipeline over the same frames.
- *
- * With @p hpu the root completion escapes through the host-proxy ring
- * -- one store to r3 = HPU_PROXY *before* NEXT, while the joining
- * message is still current so the proxy slot carries the right id and
- * frame pointer -- and the host proxy publishes the completion SEND
- * (hp_coll).  Interior nodes never escape: their hops cost zero host
- * cycles.  Host kernels send the root completion directly.
- */
-std::string
-regCollBodies(bool hpu)
-{
-    const char *barup_complete = hpu
-        ? "    st   r0, r3, r0            ; escape: host sends completion\n"
-          "    next\n"
-        : "    next\n";
-    const char *barup_notify = hpu ? ""
-        : "    ldi  o0, r5, CF_NOTIFY\n"
-          "    addi o1, r0, 0\n"
-          "    send T_SEND\n";
-    const char *red_complete = barup_complete;
-    const char *red_notify = hpu ? ""
-        : "    ldi  o0, r5, CF_NOTIFY\n"
-          "    addi o1, r0, 0\n"
-          "    add  o2, r7, r0\n"
-          "    send T_SEND\n";
-
-    std::ostringstream os;
-    os << R"(
-    ; ------ collective tree handlers (slots 9..12 branch here) ------
-    ; BARUP: i0 = own combine-frame FP, i1 = hop budget.
-    .region processing
-coll_barup:
-    add  r5, i0, r0
-    addi r6, i1, -1            ; hop budget, statically decremented
-    ldi  r7, r5, CF_COUNT
-    addi r7, r7, -1
-    bnez r7, coll_out          ; still waiting on children
-    sti  r7, r5, CF_COUNT      ; delay: publish the decrement
-    ; joined: re-arm the count and the accumulator I-structure
-    ldi  r8, r5, CF_FAN
-    addi r8, r8, 1
-    sti  r8, r5, CF_COUNT
-    ldi  r8, r5, CF_ARMACC
-    sti  r8, r5, CF_ACC
-    ldi  r8, r5, CF_PARENT
-    bnez r8, coll_barup_up
-    nop
-    ; root join: the barrier is complete
-    ldi  r7, r5, CF_DONE
-    addi r7, r7, 1
-    sti  r7, r5, CF_DONE
-)" << barup_complete << R"(
-    ; release every child
-    add  o1, r6, r0
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-coll_barup_fan:
-    beqz r9, coll_barup_done
-    nop
-    ld   o0, r2, r0
-    send T_BARDN
-    addi r2, r2, 4
-    br   coll_barup_fan
-    addi r9, r9, -1            ; delay
-coll_barup_done:
-)" << barup_notify << R"(
-    jmp  msgip
-    nop
-coll_barup_up:
-    ; interior join: forward the arrival to the parent frame
-    next
-    add  o0, r8, r0
-    add  o1, r6, r0
-    send T_BARUP
-    jmp  msgip
-    nop
-coll_out:
-    next
-    jmp  msgip
-    nop
-
-    ; BARDN: i0 = own frame FP, i1 = hop budget.
-    .region processing
-coll_bardn:
-    add  r5, i0, r0
-    addi r6, i1, -1
-    ldi  r7, r5, CF_DONE
-    addi r7, r7, 1
-    sti  r7, r5, CF_DONE
-    next
-    add  o1, r6, r0
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-coll_bardn_fan:
-    beqz r9, coll_bardn_done
-    nop
-    ld   o0, r2, r0
-    send T_BARDN
-    addi r2, r2, 4
-    br   coll_bardn_fan
-    addi r9, r9, -1
-coll_bardn_done:
-    ldi  o0, r5, CF_NOTIFY
-    addi o1, r0, 0
-    send T_SEND
-    jmp  msgip
-    nop
-
-    ; MCAST: i0 = own frame FP, i1 = hop, i2 = value.
-    .region processing
-coll_mcast:
-    add  r5, i0, r0
-    addi r6, i1, -1
-    add  r8, i2, r0
-    sti  r8, r5, CF_VALUE
-    ldi  r7, r5, CF_DONE
-    addi r7, r7, 1
-    sti  r7, r5, CF_DONE
-    next
-    add  o1, r6, r0
-    add  o2, r8, r0
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-coll_mcast_fan:
-    beqz r9, coll_mcast_done
-    nop
-    ld   o0, r2, r0
-    send T_MCAST
-    addi r2, r2, 4
-    br   coll_mcast_fan
-    addi r9, r9, -1
-coll_mcast_done:
-    ldi  o0, r5, CF_NOTIFY
-    addi o1, r0, 0
-    add  o2, r8, r0
-    send T_SEND
-    jmp  msgip
-    nop
-
-    ; REDUCE: i0 = own frame FP, i1 = hop, i2 = value, i3 = op.
-    .region processing
-coll_reduce:
-    add  r5, i0, r0
-    addi r6, i1, -1
-    add  r8, i2, r0
-    add  r9, i3, r0
-    ldi  r7, r5, CF_ACC
-    addi r2, r9, -CO_XOR
-    beqz r2, coll_red_xor
-    addi r2, r9, -CO_AND       ; delay: next comparison
-    beqz r2, coll_red_and
-    nop
-    add  r7, r7, r8            ; CO_ADD
-    br   coll_red_join
-    nop
-coll_red_xor:
-    xor  r7, r7, r8
-    br   coll_red_join
-    nop
-coll_red_and:
-    and  r7, r7, r8
-coll_red_join:
-    sti  r7, r5, CF_ACC
-    ldi  r2, r5, CF_COUNT
-    addi r2, r2, -1
-    bnez r2, coll_out
-    sti  r2, r5, CF_COUNT      ; delay: publish the decrement
-    ; joined: re-arm count and accumulator
-    ldi  r2, r5, CF_FAN
-    addi r2, r2, 1
-    sti  r2, r5, CF_COUNT
-    ldi  r2, r5, CF_ARMACC
-    sti  r2, r5, CF_ACC
-    ldi  r2, r5, CF_PARENT
-    bnez r2, coll_red_up
-    nop
-    ; root join: store the result, then broadcast it (allreduce)
-    sti  r7, r5, CF_VALUE
-    ldi  r2, r5, CF_DONE
-    addi r2, r2, 1
-    sti  r2, r5, CF_DONE
-)" << red_complete << R"(
-    add  o1, r6, r0
-    add  o2, r7, r0
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-coll_red_fan:
-    beqz r9, coll_red_done
-    nop
-    ld   o0, r2, r0
-    send T_MCAST
-    addi r2, r2, 4
-    br   coll_red_fan
-    addi r9, r9, -1
-coll_red_done:
-)" << red_notify << R"(
-    jmp  msgip
-    nop
-coll_red_up:
-    ; interior join: forward the partial reduction to the parent
-    next
-    add  o0, r2, r0
-    add  o1, r6, r0
-    add  o2, r7, r0
-    add  o3, r9, r0            ; the op rides along
-    send T_REDUCE
-    jmp  msgip
-    nop
-)";
-    return os.str();
-}
-
-/**
- * The collective handler bodies for the optimized cache-mapped
- * kernels: the regCollBodies() logic through the memory-mapped
- * command window.  Dispatch re-reads MsgIp after NEXT (the no-overlap
- * tail) on every exit path -- correct under both cache-opt variants,
- * so both share these bodies.
- */
-std::string
-cacheCollBodies()
-{
-    // The shared post-NEXT dispatch exit.
-    const char *exit_tail =
-        "    .region dispatching\n"
-        "    ldi  r15, r10, NI_MSGIP\n"
-        "    jmp  r15\n"
-        "    nop\n";
-
-    std::ostringstream os;
-    os << R"(
-    ; ------ collective tree handlers (slots 9..12 branch here) ------
-    ; BARUP: i0 = own combine-frame FP, i1 = hop budget.
-    .region processing
-coll_barup:
-    ldi  r5, r10, NI_I0
-    ldi  r6, r10, NI_I1
-    addi r6, r6, -1            ; hop budget, statically decremented
-    ldi  r7, r5, CF_COUNT
-    addi r7, r7, -1
-    bnez r7, coll_out
-    sti  r7, r5, CF_COUNT      ; delay: publish the decrement
-    ; joined: re-arm the count and the accumulator I-structure
-    ldi  r8, r5, CF_FAN
-    addi r8, r8, 1
-    sti  r8, r5, CF_COUNT
-    ldi  r8, r5, CF_ARMACC
-    sti  r8, r5, CF_ACC
-    ldi  r8, r5, CF_PARENT
-    bnez r8, coll_barup_up
-    nop
-    ; root join: the barrier is complete
-    ldi  r7, r5, CF_DONE
-    addi r7, r7, 1
-    sti  r7, r5, CF_DONE
-    ldi  r0, r10, NI_NEXT
-    ; release every child
-    sti  r6, r10, NI_O1
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-coll_barup_fan:
-    beqz r9, coll_barup_done
-    nop
-    ld   r3, r2, r0
-    sti  r3, r10, NI_O0
-    ldi  r0, r10, NI_SEND | NI_TYPE*T_BARDN
-    addi r2, r2, 4
-    br   coll_barup_fan
-    addi r9, r9, -1            ; delay
-coll_barup_done:
-    ldi  r3, r5, CF_NOTIFY
-    sti  r3, r10, NI_O0
-    sti  r0, r10, NI_O1
-    ldi  r0, r10, NI_SEND | NI_TYPE*T_SEND
-)" << exit_tail << R"(
-coll_barup_up:
-    ; interior join: forward the arrival to the parent frame
-    ldi  r0, r10, NI_NEXT
-    sti  r8, r10, NI_O0
-    sti  r6, r10, NI_O1
-    ldi  r0, r10, NI_SEND | NI_TYPE*T_BARUP
-)" << exit_tail << R"(
-coll_out:
-    ldi  r0, r10, NI_NEXT
-)" << exit_tail << R"(
-    ; BARDN: i0 = own frame FP, i1 = hop budget.
-    .region processing
-coll_bardn:
-    ldi  r5, r10, NI_I0
-    ldi  r6, r10, NI_I1
-    addi r6, r6, -1
-    ldi  r7, r5, CF_DONE
-    addi r7, r7, 1
-    sti  r7, r5, CF_DONE
-    ldi  r0, r10, NI_NEXT
-    sti  r6, r10, NI_O1
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-coll_bardn_fan:
-    beqz r9, coll_bardn_done
-    nop
-    ld   r3, r2, r0
-    sti  r3, r10, NI_O0
-    ldi  r0, r10, NI_SEND | NI_TYPE*T_BARDN
-    addi r2, r2, 4
-    br   coll_bardn_fan
-    addi r9, r9, -1
-coll_bardn_done:
-    ldi  r3, r5, CF_NOTIFY
-    sti  r3, r10, NI_O0
-    sti  r0, r10, NI_O1
-    ldi  r0, r10, NI_SEND | NI_TYPE*T_SEND
-)" << exit_tail << R"(
-    ; MCAST: i0 = own frame FP, i1 = hop, i2 = value.
-    .region processing
-coll_mcast:
-    ldi  r5, r10, NI_I0
-    ldi  r6, r10, NI_I1
-    addi r6, r6, -1
-    ldi  r8, r10, NI_I2
-    sti  r8, r5, CF_VALUE
-    ldi  r7, r5, CF_DONE
-    addi r7, r7, 1
-    sti  r7, r5, CF_DONE
-    ldi  r0, r10, NI_NEXT
-    sti  r6, r10, NI_O1
-    sti  r8, r10, NI_O2
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-coll_mcast_fan:
-    beqz r9, coll_mcast_done
-    nop
-    ld   r3, r2, r0
-    sti  r3, r10, NI_O0
-    ldi  r0, r10, NI_SEND | NI_TYPE*T_MCAST
-    addi r2, r2, 4
-    br   coll_mcast_fan
-    addi r9, r9, -1
-coll_mcast_done:
-    ldi  r3, r5, CF_NOTIFY
-    sti  r3, r10, NI_O0
-    sti  r0, r10, NI_O1
-    ldi  r0, r10, NI_SEND | NI_TYPE*T_SEND
-)" << exit_tail << R"(
-    ; REDUCE: i0 = own frame FP, i1 = hop, i2 = value, i3 = op.
-    .region processing
-coll_reduce:
-    ldi  r5, r10, NI_I0
-    ldi  r6, r10, NI_I1
-    addi r6, r6, -1
-    ldi  r8, r10, NI_I2
-    ldi  r9, r10, NI_I3
-    ldi  r7, r5, CF_ACC
-    addi r2, r9, -CO_XOR
-    beqz r2, coll_red_xor
-    addi r2, r9, -CO_AND       ; delay: next comparison
-    beqz r2, coll_red_and
-    nop
-    add  r7, r7, r8            ; CO_ADD
-    br   coll_red_join
-    nop
-coll_red_xor:
-    xor  r7, r7, r8
-    br   coll_red_join
-    nop
-coll_red_and:
-    and  r7, r7, r8
-coll_red_join:
-    sti  r7, r5, CF_ACC
-    ldi  r2, r5, CF_COUNT
-    addi r2, r2, -1
-    bnez r2, coll_out
-    sti  r2, r5, CF_COUNT      ; delay: publish the decrement
-    ; joined: re-arm count and accumulator
-    ldi  r2, r5, CF_FAN
-    addi r2, r2, 1
-    sti  r2, r5, CF_COUNT
-    ldi  r2, r5, CF_ARMACC
-    sti  r2, r5, CF_ACC
-    ldi  r2, r5, CF_PARENT
-    bnez r2, coll_red_up
-    nop
-    ; root join: store the result, then broadcast it (allreduce)
-    sti  r7, r5, CF_VALUE
-    ldi  r2, r5, CF_DONE
-    addi r2, r2, 1
-    sti  r2, r5, CF_DONE
-    ldi  r0, r10, NI_NEXT
-    sti  r6, r10, NI_O1
-    sti  r7, r10, NI_O2
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-coll_red_fan:
-    beqz r9, coll_red_done
-    nop
-    ld   r3, r2, r0
-    sti  r3, r10, NI_O0
-    ldi  r0, r10, NI_SEND | NI_TYPE*T_MCAST
-    addi r2, r2, 4
-    br   coll_red_fan
-    addi r9, r9, -1
-coll_red_done:
-    ldi  r3, r5, CF_NOTIFY
-    sti  r3, r10, NI_O0
-    sti  r0, r10, NI_O1
-    ldi  r0, r10, NI_SEND | NI_TYPE*T_SEND
-)" << exit_tail << R"(
-coll_red_up:
-    ; interior join: forward the partial reduction to the parent
-    ldi  r0, r10, NI_NEXT
-    sti  r2, r10, NI_O0
-    sti  r6, r10, NI_O1
-    sti  r7, r10, NI_O2
-    sti  r9, r10, NI_O3
-    ldi  r0, r10, NI_SEND | NI_TYPE*T_REDUCE
-)" << exit_tail;
     return os.str();
 }
 
@@ -622,7 +191,7 @@ coll_red_up:
  * overlap), so dispatch costs a single cycle.
  */
 std::string
-regOptHandlers(bool collectives)
+regOptHandlers(const std::string &coll)
 {
     std::ostringstream os;
     os << R"(
@@ -729,17 +298,7 @@ h_ack:
     st   r5, i0, r0 !next
 )" << slotAlign;
 
-    // Slots 7..8: unassigned types halt loudly; 9..12 dispatch the
-    // collective tree handlers when enabled; 13 is unassigned.
-    for (int s = 7; s <= 8; ++s)
-        os << "    halt\n" << slotAlign;
-    if (collectives) {
-        os << optCollSlots();
-    } else {
-        for (int s = 9; s <= 12; ++s)
-            os << "    halt\n" << slotAlign;
-    }
-    os << "    halt\n" << slotAlign;
+    os << optMiddleSlots(!coll.empty(), 13);
 
     os << R"(
     ; slot 14: the ESCAPE type (Section 2.2.1): messages whose real
@@ -756,8 +315,8 @@ h_escape:
     ; slot 15: STOP -- the harness halts the server.
 h_stop:
     halt
-)" << slotAlign << optVariantBanks(true, true, collectives)
-       << (collectives ? regCollBodies(false) : "") << R"(
+)" << slotAlign << optVariantBanks(true, true, !coll.empty())
+       << coll << R"(
     ; ------ escape-dispatched handlers (identifiers >= 16) ------
     ; id 0 in the escape table: store word 2 at the address in word 1.
     .region processing
@@ -814,7 +373,7 @@ entry:
  * final NI access; the jmp delay slot holds a processing instruction.
  */
 std::string
-cacheOptHandlers(bool collectives)
+cacheOptHandlers(const std::string &coll)
 {
     std::ostringstream os;
     os << R"(
@@ -946,24 +505,14 @@ h_ack:
     ldi  r0, r10, NI_NEXT
 )" << slotAlign;
 
-    // Slots 7..8 and 13..14 (no escape type here) halt loudly; 9..12
-    // dispatch the collective tree handlers when enabled.
-    for (int s = 7; s <= 8; ++s)
-        os << "    halt\n" << slotAlign;
-    if (collectives) {
-        os << optCollSlots();
-    } else {
-        for (int s = 9; s <= 12; ++s)
-            os << "    halt\n" << slotAlign;
-    }
-    for (int s = 13; s <= 14; ++s)
-        os << "    halt\n" << slotAlign;
+    // No escape type here: slot 14 halts too.
+    os << optMiddleSlots(!coll.empty(), 14);
 
     os << R"(
 h_stop:
     halt
-)" << slotAlign << optVariantBanks(false, false, collectives)
-       << (collectives ? cacheCollBodies() : "") << R"(
+)" << slotAlign << optVariantBanks(false, false, !coll.empty())
+       << coll << R"(
     ; ------ type-0 (Send) inlets ------
     .region dispatching
 h_send0:
@@ -1023,7 +572,7 @@ entry:
  * exists to hide (Section 2.2.3).
  */
 std::string
-cacheOptHandlersNoOverlap(bool collectives)
+cacheOptHandlersNoOverlap(const std::string &coll)
 {
     // The dispatch tail shared by every handler.
     auto tail = [] {
@@ -1133,22 +682,13 @@ h_ack:
     // Same slot layout as the overlapped variant; the collective
     // bodies dispatch MsgIp-after-NEXT on every exit, which is the
     // no-overlap discipline already, so the bodies are shared.
-    for (int s = 7; s <= 8; ++s)
-        os << "    halt\n" << slotAlign;
-    if (collectives) {
-        os << optCollSlots();
-    } else {
-        for (int s = 9; s <= 12; ++s)
-            os << "    halt\n" << slotAlign;
-    }
-    for (int s = 13; s <= 14; ++s)
-        os << "    halt\n" << slotAlign;
+    os << optMiddleSlots(!coll.empty(), 14);
 
     os << R"(
 h_stop:
     halt
-)" << slotAlign << optVariantBanks(false, false, collectives)
-       << (collectives ? cacheCollBodies() : "") << R"(
+)" << slotAlign << optVariantBanks(false, false, !coll.empty())
+       << coll << R"(
     ; ------ type-0 (Send) inlets ------
     .region processing
 h_send0:
@@ -1256,246 +796,268 @@ basicTableInit(bool collectives)
 }
 
 /**
- * The collective handler bodies for the basic register-mapped models
- * (host-resident and On-NI): the regCollBodies() logic with the
- * 32-bit message id written to o4 before each send and the shared
- * software poll-and-dispatch tail (disp_coll) on every exit.  See
- * regCollBodies() for the consume-before-send / hop-decrement
- * discipline.
+ * The lowering of a collective kernel onto one NI coupling and
+ * dispatch style.  The collective handlers and the collective driver
+ * are written once, as a sequence of these primitives; each primitive
+ * emits the instructions its placement needs to reach the interface:
+ *
+ *  - register-coupled kernels (the register-mapped host model, and the
+ *    HPU whatever the host placement) name i0..i4 / o0..o4 as operands;
+ *    cache-mapped ones load and store through the command window at
+ *    r10, staging memory values through a scratch register;
+ *  - optimized models name the type on the send; basic ones write the
+ *    32-bit id to o4 -- once before a fan loop (the output registers
+ *    persist across sends), or folded into a cache-mapped single send's
+ *    id store, with T_SEND kept in r14;
+ *  - optimized handlers leave through MsgIp (register-coupled: one
+ *    `jmp msgip`; cache-mapped: the MsgIp re-read after NEXT, correct
+ *    under both cache-opt variants), basic ones branch to the software
+ *    poll-and-dispatch tail disp_coll;
+ *  - on the HPU a root join escapes to the host proxy -- one store to
+ *    r3 = HPU_PROXY *before* NEXT, while the joining message is still
+ *    current so the proxy slot carries the right id and frame pointer
+ *    -- and the host proxy publishes the completion SEND (hp_coll)
+ *    instead of the HPU.  Interior nodes never escape: their hops cost
+ *    zero host cycles.
  */
-std::string
-regBasicCollHandlers(bool hpu, bool sw_checks)
+class CollLowering
 {
-    const char *root_escape = hpu
-        ? "    st   r0, r3, r0            ; escape: host sends completion\n"
-        : "";
-    const char *barup_notify = hpu ? ""
-        : "    ldi  o0, r5, CF_NOTIFY\n"
-          "    addi o1, r0, 0\n"
-          "    addi o4, r0, T_SEND\n"
-          "    send\n";
-    const char *red_notify = hpu ? ""
-        : "    ldi  o0, r5, CF_NOTIFY\n"
-          "    addi o1, r0, 0\n"
-          "    add  o2, r7, r0\n"
-          "    addi o4, r0, T_SEND\n"
-          "    send\n";
+  public:
+    CollLowering(std::ostream &os, bool reg, bool opt, bool hpu,
+                 const char *scratch)
+        : os_(os), reg_(reg), opt_(opt), hpu_(hpu), scratch_(scratch)
+    {}
 
-    std::ostringstream os;
-    os << R"(
-    ; ------ collective tree handlers (software-dispatched) ------
-    ; BARUP: i0 = own combine-frame FP, i1 = hop budget.
-    .region processing
-hb_barup:
-    add  r5, i0, r0
-    addi r6, i1, -1            ; hop budget, statically decremented
-    ldi  r7, r5, CF_COUNT
-    addi r7, r7, -1
-    bnez r7, bcoll_out
-    sti  r7, r5, CF_COUNT      ; delay: publish the decrement
-    ; joined: re-arm the count and the accumulator I-structure
-    ldi  r8, r5, CF_FAN
-    addi r8, r8, 1
-    sti  r8, r5, CF_COUNT
-    ldi  r8, r5, CF_ARMACC
-    sti  r8, r5, CF_ACC
-    ldi  r8, r5, CF_PARENT
-    bnez r8, bbarup_up
-    nop
-    ; root join: the barrier is complete
-    ldi  r7, r5, CF_DONE
-    addi r7, r7, 1
-    sti  r7, r5, CF_DONE
-)" << root_escape << R"(
-    next
-    add  o1, r6, r0
-    addi o4, r0, T_BARDN
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-bbarup_fan:
-    beqz r9, bbarup_done
-    nop
-    ld   o0, r2, r0
-    send
-    addi r2, r2, 4
-    br   bbarup_fan
-    addi r9, r9, -1
-bbarup_done:
-)" << barup_notify << R"(
-    br   disp_coll
-    nop
-bbarup_up:
-    ; interior join: forward the arrival to the parent frame
-    next
-    add  o0, r8, r0
-    add  o1, r6, r0
-    addi o4, r0, T_BARUP
-    send
-    br   disp_coll
-    nop
-bcoll_out:
-    next
-    br   disp_coll
-    nop
+    /** Start handler @p name at its dispatch target (`coll_<name>`
+     *  behind an optimized slot, `hb_<name>` in the basic table). */
+    void
+    begin(const char *name) const
+    {
+        os_ << "    .region processing\n"
+            << (opt_ ? "coll_" : "hb_") << name << ":\n";
+    }
 
-    ; BARDN: i0 = own frame FP, i1 = hop budget.
-    .region processing
-hb_bardn:
-    add  r5, i0, r0
-    addi r6, i1, -1
-    ldi  r7, r5, CF_DONE
-    addi r7, r7, 1
-    sti  r7, r5, CF_DONE
-    next
-    add  o1, r6, r0
-    addi o4, r0, T_BARDN
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-bbardn_fan:
-    beqz r9, bbardn_done
-    nop
-    ld   o0, r2, r0
-    send
-    addi r2, r2, 4
-    br   bbardn_fan
-    addi r9, r9, -1
-bbardn_done:
-    ldi  o0, r5, CF_NOTIFY
-    addi o1, r0, 0
-    addi o4, r0, T_SEND
-    send
-    br   disp_coll
-    nop
+    /** @p dst = input word @p k. */
+    void
+    in(unsigned k, const char *dst) const
+    {
+        if (reg_)
+            os_ << "    add  " << dst << ", i" << k << ", r0\n";
+        else
+            os_ << "    ldi  " << dst << ", r10, NI_I" << k << "\n";
+    }
 
-    ; MCAST: i0 = own frame FP, i1 = hop, i2 = value.
-    .region processing
-hb_mcast:
-    add  r5, i0, r0
-    addi r6, i1, -1
-    add  r8, i2, r0
-    sti  r8, r5, CF_VALUE
-    ldi  r7, r5, CF_DONE
-    addi r7, r7, 1
-    sti  r7, r5, CF_DONE
-    next
-    add  o1, r6, r0
-    add  o2, r8, r0
-    addi o4, r0, T_MCAST
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-bmcast_fan:
-    beqz r9, bmcast_done
-    nop
-    ld   o0, r2, r0
-    send
-    addi r2, r2, 4
-    br   bmcast_fan
-    addi r9, r9, -1
-bmcast_done:
-    ldi  o0, r5, CF_NOTIFY
-    addi o1, r0, 0
-    addi o4, r0, T_SEND
-    send
-    br   disp_coll
-    nop
+    /** r6 = the hop budget in input word 1, statically decremented. */
+    void
+    hop() const
+    {
+        if (reg_) {
+            os_ << "    addi r6, i1, -1\n";
+        } else {
+            in(1, "r6");
+            os_ << "    addi r6, r6, -1\n";
+        }
+    }
 
-    ; REDUCE: i0 = own frame FP, i1 = hop, i2 = value, i3 = op.
-    .region processing
-hb_reduce:
-    add  r5, i0, r0
-    addi r6, i1, -1
-    add  r8, i2, r0
-    add  r9, i3, r0
-    ldi  r7, r5, CF_ACC
-    addi r2, r9, -CO_XOR
-    beqz r2, bred_xor
-    addi r2, r9, -CO_AND       ; delay: next comparison
-    beqz r2, bred_and
-    nop
-    add  r7, r7, r8            ; CO_ADD
-    br   bred_join
-    nop
-bred_xor:
-    xor  r7, r7, r8
-    br   bred_join
-    nop
-bred_and:
-    and  r7, r7, r8
-bred_join:
-    sti  r7, r5, CF_ACC
-    ldi  r2, r5, CF_COUNT
-    addi r2, r2, -1
-    bnez r2, bcoll_out
-    sti  r2, r5, CF_COUNT      ; delay: publish the decrement
-    ; joined: re-arm count and accumulator
-    ldi  r2, r5, CF_FAN
-    addi r2, r2, 1
-    sti  r2, r5, CF_COUNT
-    ldi  r2, r5, CF_ARMACC
-    sti  r2, r5, CF_ACC
-    ldi  r2, r5, CF_PARENT
-    bnez r2, bred_up
-    nop
-    ; root join: store the result, then broadcast it (allreduce)
-    sti  r7, r5, CF_VALUE
-    ldi  r2, r5, CF_DONE
-    addi r2, r2, 1
-    sti  r2, r5, CF_DONE
-)" << root_escape << R"(
-    next
-    add  o1, r6, r0
-    add  o2, r7, r0
-    addi o4, r0, T_MCAST
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-bred_fan:
-    beqz r9, bred_done
-    nop
-    ld   o0, r2, r0
-    send
-    addi r2, r2, 4
-    br   bred_fan
-    addi r9, r9, -1
-bred_done:
-)" << red_notify << R"(
-    br   disp_coll
-    nop
-bred_up:
-    ; interior join: forward the partial reduction to the parent
-    next
-    add  o0, r2, r0
-    add  o1, r6, r0
-    add  o2, r7, r0
-    add  o3, r9, r0            ; the op rides along
-    addi o4, r0, T_REDUCE
-    send
-    br   disp_coll
-    nop
-)" << regBasicDispTail("coll", sw_checks);
-    return os.str();
-}
+    /** Output word @p k = register @p src. */
+    void
+    out(unsigned k, const char *src) const
+    {
+        if (reg_)
+            os_ << "    add  o" << k << ", " << src << ", r0\n";
+        else
+            os_ << "    sti  " << src << ", r10, NI_O" << k << "\n";
+    }
+
+    /** Output word @p k = memory: `<load> oK, <addr>`. */
+    void
+    outLoad(unsigned k, const char *load, const char *addr) const
+    {
+        if (reg_) {
+            os_ << "    " << load << "  o" << k << ", " << addr << "\n";
+        } else {
+            os_ << "    " << load << "  " << scratch_ << ", " << addr
+                << "\n";
+            out(k, scratch_);
+        }
+    }
+
+    /** Output word @p k = 0. */
+    void
+    outZero(unsigned k) const
+    {
+        if (reg_)
+            os_ << "    addi o" << k << ", r0, 0\n";
+        else
+            out(k, "r0");
+    }
+
+    /** Start a further exit path of the current handler at @p label.
+     *  Optimized kernels set it off with a blank line, which keeps the
+     *  source lines tcpni_lint reports (tests/golden/lint.json pins the
+     *  cache-mapped kernels' lines). */
+    void
+    path(const char *label) const
+    {
+        os_ << (opt_ ? "\n" : "") << label << ":\n";
+    }
+
+    /** Retire the current input message. */
+    void
+    next() const
+    {
+        os_ << (reg_ ? "    next\n" : "    ldi  r0, r10, NI_NEXT\n");
+    }
+
+    /** Send one message of @p type from the composed output words. */
+    void
+    send(const char *type) const
+    {
+        if (opt_) {
+            sendTyped(type);
+        } else if (reg_) {
+            setType(type);
+            os_ << "    send\n";
+        } else if (std::string(type) == "T_SEND") {
+            os_ << "    sti  r14, r10, NI_O4 | NI_SEND\n";
+        } else {
+            os_ << "    addi " << scratch_ << ", r0, " << type << "\n"
+                << "    sti  " << scratch_ << ", r10, NI_O4 | NI_SEND\n";
+        }
+    }
+
+    /** Send @p type to every child in the frame at r5 (r9 = count,
+     *  r2 = child cursor); labels `<tag>_fan` / `<tag>_done`. */
+    void
+    fan(const char *type, const char *tag) const
+    {
+        if (!opt_)
+            setType(type);
+        os_ << "    ldi  r9, r5, CF_FAN\n"
+               "    addi r2, r5, CF_CHILD\n"
+            << tag << "_fan:\n"
+            << "    beqz r9, " << tag << "_done\n"
+               "    nop\n";
+        outLoad(0, "ld", "r2, r0");
+        if (opt_)
+            sendTyped(type);
+        else
+            os_ << (reg_ ? "    send\n" : "    ldi  r0, r10, NI_SEND\n");
+        os_ << "    addi r2, r2, 4\n"
+               "    br   " << tag << "_fan\n"
+               "    addi r9, r9, -1            ; delay\n"
+            << tag << "_done:\n";
+    }
+
+    /** Notify the frame's waiter (a SEND to CF_NOTIFY, word 1 = 0).
+     *  With @p value the register-coupled kernels restate it in o2;
+     *  the cache-mapped ones rely on O2 persisting from the fan loop. */
+    void
+    notify(const char *value = nullptr) const
+    {
+        outLoad(0, "ldi", "r5, CF_NOTIFY");
+        outZero(1);
+        if (value && reg_)
+            out(2, value);
+        send("T_SEND");
+    }
+
+    /** NEXT at a root join; on the HPU escape to the host first. */
+    void
+    rootJoin() const
+    {
+        if (hpu_)
+            os_ << "    st   r0, r3, r0            ; escape: host sends "
+                   "completion\n";
+        next();
+    }
+
+    /** The root's completion notify; the HPU's host proxy sends it. */
+    void
+    rootNotify(const char *value = nullptr) const
+    {
+        if (!hpu_)
+            notify(value);
+    }
+
+    /** Leave the handler and dispatch the next message. */
+    void
+    exit() const
+    {
+        if (!opt_)
+            os_ << "    br   disp_coll\n    nop\n";
+        else if (reg_)
+            os_ << "    jmp  msgip\n    nop\n";
+        else
+            os_ << "    .region dispatching\n"
+                   "    ldi  r15, r10, NI_MSGIP\n"
+                   "    jmp  r15\n"
+                   "    nop\n";
+    }
+
+  private:
+    /** Basic models: the 32-bit id into o4. */
+    void
+    setType(const char *type) const
+    {
+        if (reg_) {
+            os_ << "    addi o4, r0, " << type << "\n";
+        } else {
+            os_ << "    addi " << scratch_ << ", r0, " << type << "\n"
+                << "    sti  " << scratch_ << ", r10, NI_O4\n";
+        }
+    }
+
+    /** Optimized models: the type rides on the send. */
+    void
+    sendTyped(const char *type) const
+    {
+        if (reg_)
+            os_ << "    send " << type << "\n";
+        else
+            os_ << "    ldi  r0, r10, NI_SEND | NI_TYPE*" << type << "\n";
+    }
+
+    std::ostream &os_;
+    bool reg_, opt_, hpu_;
+    const char *scratch_;
+};
 
 /**
- * The collective handler bodies for the basic cache-mapped model: the
- * cacheCollBodies() logic with the id stored to O4 (once per fan
- * loop -- the output registers persist across sends) and the shared
- * software dispatch tail.
+ * The collective tree handlers (BARUP/BARDN/MCAST/REDUCE), lowered by
+ * CollLowering; optimized dispatch slots 9..12 branch to `coll_*`,
+ * basic tables hold `hb_*`.  The discipline the protocol analyzer
+ * certifies:
+ *
+ *  - consume-before-send: every path copies its input words into
+ *    scalars and retires the input-queue slot (NEXT) before its first
+ *    SEND, so a full input queue can always drain (proto-deadlock);
+ *  - static hop decrement: every retransmitted tree message carries
+ *    hop-1 in word 1, computed from i1 before NEXT, bounding the
+ *    fan-out statically (proto-forward);
+ *  - the combine frame is an I-structure: CF_COUNT is armed to fan+1,
+ *    these handlers are its only writers, and the join re-arms the
+ *    count and accumulator before any send, so back-to-back
+ *    collectives pipeline over the same frames.
+ *
+ * handlerProgram() lowers them for its model and hands the text to the
+ * model's handler set (their `coll` argument), which places it
+ * after its dispatch code; an empty text leaves types 9..12 halting.
  */
 std::string
-cacheBasicCollHandlers(bool sw_checks)
+collectiveHandlers(bool reg, bool opt, bool hpu, bool sw_checks)
 {
     std::ostringstream os;
-    os << R"(
-    ; ------ collective tree handlers (software-dispatched) ------
-    ; BARUP: i0 = own combine-frame FP, i1 = hop budget.
-    .region processing
-hb_barup:
-    ldi  r5, r10, NI_I0
-    ldi  r6, r10, NI_I1
-    addi r6, r6, -1            ; hop budget, statically decremented
-    ldi  r7, r5, CF_COUNT
+    const CollLowering c(os, reg, opt, hpu, "r3");
+
+    os << "\n    ; ------ collective tree handlers ------\n"
+          "    ; BARUP: i0 = own combine-frame FP, i1 = hop budget.\n";
+    c.begin("barup");
+    c.in(0, "r5");
+    c.hop();
+    os << R"(    ldi  r7, r5, CF_COUNT
     addi r7, r7, -1
-    bnez r7, cbcoll_out
+    bnez r7, coll_out          ; still waiting on children
     sti  r7, r5, CF_COUNT      ; delay: publish the decrement
     ; joined: re-arm the count and the accumulator I-structure
     ldi  r8, r5, CF_FAN
@@ -1504,143 +1066,88 @@ hb_barup:
     ldi  r8, r5, CF_ARMACC
     sti  r8, r5, CF_ACC
     ldi  r8, r5, CF_PARENT
-    bnez r8, cbbarup_up
+    bnez r8, coll_barup_up
     nop
-    ; root join: the barrier is complete
+    ; root join: the barrier is complete; release every child
     ldi  r7, r5, CF_DONE
     addi r7, r7, 1
     sti  r7, r5, CF_DONE
-    ldi  r0, r10, NI_NEXT
-    sti  r6, r10, NI_O1
-    addi r3, r0, T_BARDN
-    sti  r3, r10, NI_O4
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-cbbarup_fan:
-    beqz r9, cbbarup_done
-    nop
-    ld   r3, r2, r0
-    sti  r3, r10, NI_O0
-    ldi  r0, r10, NI_SEND
-    addi r2, r2, 4
-    br   cbbarup_fan
-    addi r9, r9, -1
-cbbarup_done:
-    ldi  r3, r5, CF_NOTIFY
-    sti  r3, r10, NI_O0
-    sti  r0, r10, NI_O1
-    sti  r14, r10, NI_O4 | NI_SEND
-    br   disp_coll
-    nop
-cbbarup_up:
-    ; interior join: forward the arrival to the parent frame
-    ldi  r0, r10, NI_NEXT
-    sti  r8, r10, NI_O0
-    sti  r6, r10, NI_O1
-    addi r3, r0, T_BARUP
-    sti  r3, r10, NI_O4 | NI_SEND
-    br   disp_coll
-    nop
-cbcoll_out:
-    ldi  r0, r10, NI_NEXT
-    br   disp_coll
-    nop
+)";
+    c.rootJoin();
+    if (opt)    // a source line of its own, for the same reason as path()
+        os << "    ; release every child\n";
+    c.out(1, "r6");
+    c.fan("T_BARDN", "coll_barup");
+    c.rootNotify();
+    c.exit();
+    c.path("coll_barup_up");
+    os << "    ; interior join: forward the arrival to the parent frame\n";
+    c.next();
+    c.out(0, "r8");
+    c.out(1, "r6");
+    c.send("T_BARUP");
+    c.exit();
+    c.path("coll_out");
+    c.next();
+    c.exit();
 
-    ; BARDN: i0 = own frame FP, i1 = hop budget.
-    .region processing
-hb_bardn:
-    ldi  r5, r10, NI_I0
-    ldi  r6, r10, NI_I1
-    addi r6, r6, -1
-    ldi  r7, r5, CF_DONE
-    addi r7, r7, 1
-    sti  r7, r5, CF_DONE
-    ldi  r0, r10, NI_NEXT
-    sti  r6, r10, NI_O1
-    addi r3, r0, T_BARDN
-    sti  r3, r10, NI_O4
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-cbbardn_fan:
-    beqz r9, cbbardn_done
-    nop
-    ld   r3, r2, r0
-    sti  r3, r10, NI_O0
-    ldi  r0, r10, NI_SEND
-    addi r2, r2, 4
-    br   cbbardn_fan
-    addi r9, r9, -1
-cbbardn_done:
-    ldi  r3, r5, CF_NOTIFY
-    sti  r3, r10, NI_O0
-    sti  r0, r10, NI_O1
-    sti  r14, r10, NI_O4 | NI_SEND
-    br   disp_coll
-    nop
+    os << "\n    ; BARDN: i0 = own frame FP, i1 = hop budget.\n";
+    c.begin("bardn");
+    c.in(0, "r5");
+    c.hop();
+    os << "    ldi  r7, r5, CF_DONE\n"
+          "    addi r7, r7, 1\n"
+          "    sti  r7, r5, CF_DONE\n";
+    c.next();
+    c.out(1, "r6");
+    c.fan("T_BARDN", "coll_bardn");
+    c.notify();
+    c.exit();
 
-    ; MCAST: i0 = own frame FP, i1 = hop, i2 = value.
-    .region processing
-hb_mcast:
-    ldi  r5, r10, NI_I0
-    ldi  r6, r10, NI_I1
-    addi r6, r6, -1
-    ldi  r8, r10, NI_I2
-    sti  r8, r5, CF_VALUE
-    ldi  r7, r5, CF_DONE
-    addi r7, r7, 1
-    sti  r7, r5, CF_DONE
-    ldi  r0, r10, NI_NEXT
-    sti  r6, r10, NI_O1
-    sti  r8, r10, NI_O2
-    addi r3, r0, T_MCAST
-    sti  r3, r10, NI_O4
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-cbmcast_fan:
-    beqz r9, cbmcast_done
-    nop
-    ld   r3, r2, r0
-    sti  r3, r10, NI_O0
-    ldi  r0, r10, NI_SEND
-    addi r2, r2, 4
-    br   cbmcast_fan
-    addi r9, r9, -1
-cbmcast_done:
-    ldi  r3, r5, CF_NOTIFY
-    sti  r3, r10, NI_O0
-    sti  r0, r10, NI_O1
-    sti  r14, r10, NI_O4 | NI_SEND
-    br   disp_coll
-    nop
+    os << "\n    ; MCAST: i0 = own frame FP, i1 = hop, i2 = value.\n";
+    c.begin("mcast");
+    c.in(0, "r5");
+    c.hop();
+    c.in(2, "r8");
+    os << "    sti  r8, r5, CF_VALUE\n"
+          "    ldi  r7, r5, CF_DONE\n"
+          "    addi r7, r7, 1\n"
+          "    sti  r7, r5, CF_DONE\n";
+    c.next();
+    c.out(1, "r6");
+    c.out(2, "r8");
+    c.fan("T_MCAST", "coll_mcast");
+    // The basic register-mapped MCAST leaves o2 as the fan set it.
+    c.notify(opt ? "r8" : nullptr);
+    c.exit();
 
-    ; REDUCE: i0 = own frame FP, i1 = hop, i2 = value, i3 = op.
-    .region processing
-hb_reduce:
-    ldi  r5, r10, NI_I0
-    ldi  r6, r10, NI_I1
-    addi r6, r6, -1
-    ldi  r8, r10, NI_I2
-    ldi  r9, r10, NI_I3
-    ldi  r7, r5, CF_ACC
+    os << "\n    ; REDUCE: i0 = own frame FP, i1 = hop, i2 = value, "
+          "i3 = op.\n";
+    c.begin("reduce");
+    c.in(0, "r5");
+    c.hop();
+    c.in(2, "r8");
+    c.in(3, "r9");
+    os << R"(    ldi  r7, r5, CF_ACC
     addi r2, r9, -CO_XOR
-    beqz r2, cbred_xor
+    beqz r2, coll_red_xor
     addi r2, r9, -CO_AND       ; delay: next comparison
-    beqz r2, cbred_and
+    beqz r2, coll_red_and
     nop
     add  r7, r7, r8            ; CO_ADD
-    br   cbred_join
+    br   coll_red_join
     nop
-cbred_xor:
+coll_red_xor:
     xor  r7, r7, r8
-    br   cbred_join
+    br   coll_red_join
     nop
-cbred_and:
+coll_red_and:
     and  r7, r7, r8
-cbred_join:
+coll_red_join:
     sti  r7, r5, CF_ACC
     ldi  r2, r5, CF_COUNT
     addi r2, r2, -1
-    bnez r2, cbcoll_out
+    bnez r2, coll_out
     sti  r2, r5, CF_COUNT      ; delay: publish the decrement
     ; joined: re-arm count and accumulator
     ldi  r2, r5, CF_FAN
@@ -1649,54 +1156,41 @@ cbred_join:
     ldi  r2, r5, CF_ARMACC
     sti  r2, r5, CF_ACC
     ldi  r2, r5, CF_PARENT
-    bnez r2, cbred_up
+    bnez r2, coll_red_up
     nop
     ; root join: store the result, then broadcast it (allreduce)
     sti  r7, r5, CF_VALUE
     ldi  r2, r5, CF_DONE
     addi r2, r2, 1
     sti  r2, r5, CF_DONE
-    ldi  r0, r10, NI_NEXT
-    sti  r6, r10, NI_O1
-    sti  r7, r10, NI_O2
-    addi r3, r0, T_MCAST
-    sti  r3, r10, NI_O4
-    ldi  r9, r5, CF_FAN
-    addi r2, r5, CF_CHILD
-cbred_fan:
-    beqz r9, cbred_done
-    nop
-    ld   r3, r2, r0
-    sti  r3, r10, NI_O0
-    ldi  r0, r10, NI_SEND
-    addi r2, r2, 4
-    br   cbred_fan
-    addi r9, r9, -1
-cbred_done:
-    ldi  r3, r5, CF_NOTIFY
-    sti  r3, r10, NI_O0
-    sti  r0, r10, NI_O1
-    sti  r14, r10, NI_O4 | NI_SEND
-    br   disp_coll
-    nop
-cbred_up:
-    ; interior join: forward the partial reduction to the parent
-    ldi  r0, r10, NI_NEXT
-    sti  r2, r10, NI_O0
-    sti  r6, r10, NI_O1
-    sti  r7, r10, NI_O2
-    sti  r9, r10, NI_O3
-    addi r3, r0, T_REDUCE
-    sti  r3, r10, NI_O4 | NI_SEND
-    br   disp_coll
-    nop
-)" << cacheBasicDispTail("coll", sw_checks);
+)";
+    c.rootJoin();
+    c.out(1, "r6");
+    c.out(2, "r7");
+    c.fan("T_MCAST", "coll_red");
+    c.rootNotify("r7");
+    c.exit();
+    c.path("coll_red_up");
+    os << "    ; interior join: forward the partial reduction to the "
+          "parent\n";
+    c.next();
+    c.out(0, "r2");
+    c.out(1, "r6");
+    c.out(2, "r7");
+    c.out(3, "r9");            // the op rides along
+    c.send("T_REDUCE");
+    c.exit();
+
+    if (!opt) {
+        os << (reg ? regBasicDispTail("coll", sw_checks)
+                   : cacheBasicDispTail("coll", sw_checks));
+    }
     return os.str();
 }
 
 /** The basic register-mapped handler set. */
 std::string
-regBasicHandlers(bool sw_checks, bool collectives)
+regBasicHandlers(bool sw_checks, const std::string &coll)
 {
     std::ostringstream os;
     os << R"(
@@ -1709,7 +1203,7 @@ entry:
     li   r11, ST_IAFULL | ST_OAFULL
     li   r13, DISPATCH_TABLE
     addi r4, r0, 4
-)" << basicTableInit(collectives) << R"(
+)" << basicTableInit(!coll.empty()) << R"(
     br   disp_poll
     nop
 )" << regBasicDispTail("poll", sw_checks) << R"(
@@ -1807,8 +1301,7 @@ hb_ack:
 hb_stop:
     halt
 )";
-    if (collectives)
-        os << regBasicCollHandlers(false, sw_checks);
+    os << coll;
     if (sw_checks) {
         // A queue crossed its threshold: a real runtime would shed
         // load here (Section 2.2.4); the measurement harness never
@@ -1821,7 +1314,7 @@ hb_stop:
 
 /** The basic cache-mapped handler set. */
 std::string
-cacheBasicHandlers(bool sw_checks, bool collectives)
+cacheBasicHandlers(bool sw_checks, const std::string &coll)
 {
     std::ostringstream os;
     os << R"(
@@ -1837,7 +1330,7 @@ entry:
     li   r13, DISPATCH_TABLE
     addi r4, r0, 4
     addi r14, r0, T_SEND
-)" << basicTableInit(collectives) << R"(
+)" << basicTableInit(!coll.empty()) << R"(
     br   disp_poll
     nop
 )" << cacheBasicDispTail("poll", sw_checks) << R"(
@@ -1954,8 +1447,7 @@ hb_ack:
 hb_stop:
     halt
 )";
-    if (collectives)
-        os << cacheBasicCollHandlers(sw_checks);
+    os << coll;
     if (sw_checks)
         os << "qfull:\n    halt\n";
     return os.str();
@@ -1975,7 +1467,7 @@ hb_stop:
  * budget.
  */
 std::string
-hpuOptHandlers(bool collectives)
+hpuOptHandlers(const std::string &coll)
 {
     std::ostringstream os;
     os << R"(
@@ -2050,19 +1542,9 @@ h_ack:
     st   r5, i0, r0 !next
 )" << slotAlign;
 
-    // Slots 7..8: unassigned types halt loudly; 9..12 dispatch the
-    // collective tree handlers when enabled; 13 is unassigned.  The
-    // collective bodies run entirely on the HPU -- interior tree hops
-    // never touch the host; only the root completion escapes.
-    for (int s = 7; s <= 8; ++s)
-        os << "    halt\n" << slotAlign;
-    if (collectives) {
-        os << optCollSlots();
-    } else {
-        for (int s = 9; s <= 12; ++s)
-            os << "    halt\n" << slotAlign;
-    }
-    os << "    halt\n" << slotAlign;
+    // The collective bodies run entirely on the HPU -- interior tree
+    // hops never touch the host; only the root completion escapes.
+    os << optMiddleSlots(!coll.empty(), 13);
 
     os << R"(
     ; slot 14: the ESCAPE type, dispatched through a software table
@@ -2079,8 +1561,8 @@ h_escape:
 h_stop:
     sti  r0, r3, 0
     halt
-)" << slotAlign << optVariantBanks(true, true, collectives)
-       << (collectives ? regCollBodies(true) : "") << R"(
+)" << slotAlign << optVariantBanks(true, true, !coll.empty())
+       << coll << R"(
     ; ------ escape-dispatched handlers (identifiers >= 16) ------
     ; id 0 in the escape table: store word 2 at the address in word 1.
     .region processing
@@ -2133,7 +1615,7 @@ entry:
 /** The basic On-NI (HPU) handler set: the basic register-mapped
  *  handlers with the same host-proxy escapes as hpuOptHandlers(). */
 std::string
-hpuBasicHandlers(bool sw_checks, bool collectives)
+hpuBasicHandlers(bool sw_checks, const std::string &coll)
 {
     std::ostringstream os;
     os << R"(
@@ -2147,7 +1629,7 @@ entry:
     li   r13, DISPATCH_TABLE
     li   r3, HPU_PROXY
     addi r4, r0, 4
-)" << basicTableInit(collectives) << R"(
+)" << basicTableInit(!coll.empty()) << R"(
     br   disp_poll
     nop
 )" << regBasicDispTail("poll", sw_checks) << R"(
@@ -2212,8 +1694,7 @@ hb_stop:
     sti  r0, r3, 0             ; tell the host service loop to halt
     halt
 )";
-    if (collectives)
-        os << regBasicCollHandlers(true, sw_checks);
+    os << coll;
     if (sw_checks)
         os << "qfull:\n    halt\n";
     return os.str();
@@ -2231,20 +1712,24 @@ handlerProgram(const ni::Model &model, bool basic_sw_checks,
     // models override both: the HPU is register-coupled whatever the
     // host placement looks like, and CPU-only work escapes through
     // the host-proxy ring.
-    if (model.policy().handlersOnNi()) {
-        return model.optimized
-            ? hpuOptHandlers(collectives)
-            : hpuBasicHandlers(basic_sw_checks, collectives);
+    const bool on_ni = model.policy().handlersOnNi();
+    const bool reg = on_ni || model.policy().registerMapped();
+    const std::string coll =
+        collectives ? collectiveHandlers(reg, model.optimized, on_ni,
+                                         basic_sw_checks)
+                    : std::string();
+    if (on_ni) {
+        return model.optimized ? hpuOptHandlers(coll)
+                               : hpuBasicHandlers(basic_sw_checks, coll);
     }
-    bool reg = model.policy().registerMapped();
     if (model.optimized) {
         if (reg)
-            return regOptHandlers(collectives);
-        return no_overlap ? cacheOptHandlersNoOverlap(collectives)
-                          : cacheOptHandlers(collectives);
+            return regOptHandlers(coll);
+        return no_overlap ? cacheOptHandlersNoOverlap(coll)
+                          : cacheOptHandlers(coll);
     }
-    return reg ? regBasicHandlers(basic_sw_checks, collectives)
-               : cacheBasicHandlers(basic_sw_checks, collectives);
+    return reg ? regBasicHandlers(basic_sw_checks, coll)
+               : cacheBasicHandlers(basic_sw_checks, coll);
 }
 
 std::string
@@ -2622,7 +2107,6 @@ std::string
 collectiveDriverProgram(const ni::Model &model, unsigned count)
 {
     bool reg = model.policy().registerMapped();
-    bool basic = !model.optimized;
     // A combine frame on node 1 and a conservative hop budget (the
     // experiment driver computes depth+2 for the real tree).
     const uint64_t frame = (1ull << 24) | collFrameAddr;
@@ -2641,56 +2125,16 @@ collectiveDriverProgram(const ni::Model &model, unsigned count)
        << "    lis  r1, " << count << "\n"
        << "loop:\n"
        << "    .region sending\n";
-    if (reg) {
-        const char *head =
-            "    add  o0, r5, r0\n"
-            "    add  o1, r6, r0\n";
-        if (basic) {
-            os << head
-               << "    addi o4, r0, T_BARUP\n    send\n"
-               << head
-               << "    add  o2, r7, r0\n"
-                  "    addi o4, r0, T_MCAST\n    send\n"
-               << head
-               << "    add  o2, r7, r0\n"
-                  "    add  o3, r8, r0\n"
-                  "    addi o4, r0, T_REDUCE\n    send\n";
-        } else {
-            os << head << "    send T_BARUP\n"
-               << head
-               << "    add  o2, r7, r0\n    send T_MCAST\n"
-               << head
-               << "    add  o2, r7, r0\n"
-                  "    add  o3, r8, r0\n    send T_REDUCE\n";
-        }
-    } else {
-        const char *head =
-            "    sti  r5, r10, NI_O0\n"
-            "    sti  r6, r10, NI_O1\n";
-        if (basic) {
-            os << head
-               << "    addi r2, r0, T_BARUP\n"
-                  "    sti  r2, r10, NI_O4 | NI_SEND\n"
-               << head
-               << "    sti  r7, r10, NI_O2\n"
-                  "    addi r2, r0, T_MCAST\n"
-                  "    sti  r2, r10, NI_O4 | NI_SEND\n"
-               << head
-               << "    sti  r7, r10, NI_O2\n"
-                  "    sti  r8, r10, NI_O3\n"
-                  "    addi r2, r0, T_REDUCE\n"
-                  "    sti  r2, r10, NI_O4 | NI_SEND\n";
-        } else {
-            os << head
-               << "    ldi  r0, r10, NI_SEND | NI_TYPE*T_BARUP\n"
-               << head
-               << "    sti  r7, r10, NI_O2\n"
-                  "    ldi  r0, r10, NI_SEND | NI_TYPE*T_MCAST\n"
-               << head
-               << "    sti  r7, r10, NI_O2\n"
-                  "    sti  r8, r10, NI_O3\n"
-                  "    ldi  r0, r10, NI_SEND | NI_TYPE*T_REDUCE\n";
-        }
+    // Frame, hops, value, op: each type sends a longer prefix.
+    static const struct { const char *type; unsigned words; } msgs[] = {
+        {"T_BARUP", 2}, {"T_MCAST", 3}, {"T_REDUCE", 4},
+    };
+    static const char *src[] = {"r5", "r6", "r7", "r8"};
+    const CollLowering c(os, reg, model.optimized, false, "r2");
+    for (const auto &m : msgs) {
+        for (unsigned k = 0; k < m.words; ++k)
+            c.out(k, src[k]);
+        c.send(m.type);
     }
     os << "    .region loop\n"
        << "    addi r1, r1, -1\n"

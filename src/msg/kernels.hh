@@ -34,6 +34,18 @@
  *  - basic Send-kind messages keep the generic reply id in a register
  *    (+1 instruction vs optimized); basic memory-op requests generate
  *    a fresh id per message (+2 on cache-mapped, +1 register-mapped).
+ *
+ * The collective handlers (BARUP/BARDN/MCAST/REDUCE) and the collective
+ * driver are written once and lowered per model, as the paper writes a
+ * handler once and costs it under each placement: only how the code
+ * reaches the NI registers changes (register operands or the cache-
+ * mapped command window, the type on the send or a basic id in o4,
+ * MsgIp or the software dispatch tail, the HPU's escape to the host at
+ * a root).  The Table-1 handlers and senders stay hand-scheduled per
+ * placement: their instruction counts are the paper's measured cells,
+ * and each uses folds only its placement has (REPLY/NEXT bits on a
+ * register operand, NEXT in the final command-window access, the
+ * hoisted NextMsgIp read).
  */
 
 #ifndef TCPNI_MSG_KERNELS_HH
