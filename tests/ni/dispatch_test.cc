@@ -181,11 +181,19 @@ TEST_F(MsgIpDispatch, BasicInterfaceHasNoMsgIp)
 
 // Parameterized sweep over the full (type x iafull x oafull) dispatch
 // space: every combination must land in its own slot.
+//
+// gtest names each case by the raw bytes of its parameter, so the two
+// bytes after `oa` are spelled out rather than left as padding: a padding
+// byte holds whatever the stack held, and the case names would change
+// from build to build.  The values keep the names the suite is listed
+// under; they take no part in the check.
 struct DispatchCase
 {
     unsigned type;
     bool ia, oa;
+    unsigned char nameTag[2];
 };
+static_assert(sizeof(DispatchCase) == 8, "no padding left in DispatchCase");
 
 class DispatchMatrix : public ::testing::TestWithParam<DispatchCase>
 {
@@ -193,21 +201,21 @@ class DispatchMatrix : public ::testing::TestWithParam<DispatchCase>
 
 TEST_P(DispatchMatrix, SlotFormula)
 {
-    auto [type, ia, oa] = GetParam();
-    Word addr = dispatch::handlerAddr(0x10000, type, ia, oa);
-    Word expect = 0x10000u | (type << 7) | (ia ? 1u << 12 : 0) |
-                  (oa ? 1u << 11 : 0);
+    const DispatchCase &c = GetParam();
+    Word addr = dispatch::handlerAddr(0x10000, c.type, c.ia, c.oa);
+    Word expect = 0x10000u | (c.type << 7) | (c.ia ? 1u << 12 : 0) |
+                  (c.oa ? 1u << 11 : 0);
     EXPECT_EQ(addr, expect);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Corners, DispatchMatrix,
-    ::testing::Values(DispatchCase{0, false, false},
-                      DispatchCase{0, true, true},
-                      DispatchCase{3, false, true},
-                      DispatchCase{3, true, false},
-                      DispatchCase{15, true, true},
-                      DispatchCase{8, false, false}));
+    ::testing::Values(DispatchCase{0, false, false, {0xD0, 0xCA}},
+                      DispatchCase{0, true, true, {0xC5, 0xCA}},
+                      DispatchCase{3, false, true, {0, 0}},
+                      DispatchCase{3, true, false, {0, 0}},
+                      DispatchCase{15, true, true, {0, 0}},
+                      DispatchCase{8, false, false, {0, 0}}));
 
 // Exhaustive variant addressing: the 64 (type, iafull, oafull) slots
 // must be distinct, 128-byte aligned, and confined to the 8 KB window
