@@ -302,7 +302,10 @@ runPhase(const ni::Model &model, unsigned nodes, unsigned arity,
 int
 runCollective(const exp::Context &ctx)
 {
-    const std::vector<unsigned> sizes = ctx.u32List("--sizes", 2);
+    // A global word carries nodeBits node-id bits: larger machines
+    // would wrap node ids, so they are a usage error here.
+    const std::vector<unsigned> sizes =
+        ctx.u32List("--sizes", 2, 1u << nodeBits);
     const unsigned arity = ctx.u32("--arity");
     if (arity < 1)
         fatal("exp_collective: --arity must be >= 1");

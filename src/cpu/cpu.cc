@@ -14,12 +14,19 @@ using isa::Opcode;
 Cpu::Cpu(std::string name, EventQueue &eq, Memory &mem,
          ni::NetworkInterface *ni, CpuConfig config)
     : SimObject(std::move(name), eq), mem_(mem), ni_(ni),
-      config_(config), tickEvent_(*this)
+      config_(config), tickEvent_(*this),
+      idle_(SimObject::name(), eq, mem, ni,
+            IdleCore{regs_, readyAt_, &pc_, &branchTarget_,
+                     &instructions_, &cycles_, &stallCycles_,
+                     &regionCycles_, &regionInsts_, &tickEvent_,
+                     config.maxInstructions, config.trace})
 {
     regMappedNi_ = ni_ && ni_->config().policy().registerMapped();
     if (ni_) {
         ni_->setInterruptSink([this](Word handler) {
             // Latched here; taken at the next instruction boundary.
+            if (idle_.asleep())
+                idle_.wake();
             pendingInterrupt_ = handler;
         });
     }
@@ -38,34 +45,33 @@ Cpu::Cpu(std::string name, EventQueue &eq, Memory &mem,
 void
 Cpu::loadProgram(const isa::Program &prog)
 {
-    // Merge the program's regions into the CPU's region table.
-    std::vector<uint16_t> remap(prog.regionNames.size());
-    for (size_t i = 0; i < prog.regionNames.size(); ++i) {
-        const std::string &rn = prog.regionNames[i];
-        uint16_t id = 0xffff;
-        for (size_t j = 0; j < regionNames_.size(); ++j) {
-            if (regionNames_[j] == rn)
-                id = static_cast<uint16_t>(j);
-        }
-        if (id == 0xffff) {
-            id = static_cast<uint16_t>(regionNames_.size());
-            regionNames_.push_back(rn);
-            regionCycles_.push_back(0);
-            regionInsts_.push_back(0);
-        }
-        remap[i] = id;
-    }
+    wakeForAccess();
+    text_.load(prog, mem_);
+    regionCycles_.resize(text_.regionNames().size());
+    regionInsts_.resize(text_.regionNames().size());
+    idle_.disarm();
+}
 
-    for (size_t i = 0; i < prog.words.size(); ++i) {
-        Addr a = prog.base + static_cast<Addr>(i * 4);
-        mem_.write(a, prog.words[i]);
-        regionByAddr_[a] = remap[prog.regionOf[i]];
-    }
+void
+Cpu::wakeForAccess() const
+{
+    if (idle_.asleep())
+        const_cast<IdleLoop &>(idle_).wake();
+}
+
+const Cpu &
+Cpu::settled() const
+{
+    if (idle_.asleep())
+        const_cast<IdleLoop &>(idle_).settle();
+    return *this;
 }
 
 void
 Cpu::reset(Addr pc)
 {
+    wakeForAccess();
+    idle_.disarm();
     for (unsigned r = 0; r < isa::numRegs; ++r) {
         regs_[r] = 0;
         readyAt_[r] = 0;
@@ -115,11 +121,13 @@ Cpu::writeGpr(unsigned r, Word value, Tick ready_at)
     if (isNiAliasedReg(r)) {
         // NI registers are wired into the register file; results are
         // visible to the interface immediately and never interlock.
+        idle_.noteSideEffect();
         ni_->writeReg(r - isa::niRegBase, value);
         return;
     }
     regs_[r] = value;
     readyAt_[r] = ready_at;
+    idle_.noteWrite(r, value, ready_at);
 }
 
 Tick
@@ -141,13 +149,6 @@ Cpu::readyTick(const Instruction &inst) const
     return ready;
 }
 
-uint16_t
-Cpu::regionOf(Addr addr) const
-{
-    auto it = regionByAddr_.find(addr);
-    return it == regionByAddr_.end() ? 0 : it->second;
-}
-
 void
 Cpu::charge(Addr addr, uint64_t n)
 {
@@ -157,10 +158,11 @@ Cpu::charge(Addr addr, uint64_t n)
 std::map<std::string, uint64_t>
 Cpu::regionCycles() const
 {
+    settled();
     std::map<std::string, uint64_t> out;
-    for (size_t i = 0; i < regionNames_.size(); ++i) {
+    for (size_t i = 0; i < regionCycles_.size(); ++i) {
         if (regionCycles_[i])
-            out[regionNames_[i]] += regionCycles_[i];
+            out[text_.regionNames()[i]] += regionCycles_[i];
     }
     return out;
 }
@@ -168,18 +170,27 @@ Cpu::regionCycles() const
 std::map<std::string, uint64_t>
 Cpu::regionInstructions() const
 {
+    settled();
     std::map<std::string, uint64_t> out;
-    for (size_t i = 0; i < regionNames_.size(); ++i) {
+    for (size_t i = 0; i < regionInsts_.size(); ++i) {
         if (regionInsts_[i])
-            out[regionNames_[i]] += regionInsts_[i];
+            out[text_.regionNames()[i]] += regionInsts_[i];
     }
     return out;
+}
+
+Addr
+Cpu::pc() const
+{
+    wakeForAccess();
+    return pc_;
 }
 
 Word
 Cpu::reg(unsigned r) const
 {
     tcpni_assert(r < isa::numRegs);
+    wakeForAccess();
     if (r == 0)
         return 0;
     if (isNiAliasedReg(r))
@@ -191,7 +202,9 @@ void
 Cpu::setReg(unsigned r, Word value)
 {
     tcpni_assert(r < isa::numRegs);
+    wakeForAccess();
     writeGpr(r, value, curTick());
+    idle_.disarm();
 }
 
 void
@@ -199,13 +212,21 @@ Cpu::tick()
 {
     if (halted_)
         return;
+    if (idle_.asleep()) {
+        if (idle_.keep())
+            return;
+        idle_.resumeHere();
+    }
 
     const Tick now = curTick();
+    const Addr pc0 = pc_;
+    const std::optional<Addr> target0 = branchTarget_;
 
     // Take a pending message interrupt at an instruction boundary
     // (never inside a branch shadow): save the return address in the
     // interrupt link register and redirect to the handler.
     if (pendingInterrupt_ && !branchTarget_) {
+        idle_.noteSideEffect();
         TCPNI_TRACE(CPU, "interrupt: handler entry 0x%08x "
                     "(return 0x%08x)", *pendingInterrupt_, pc_);
         writeGpr(intLinkReg, pc_, now + 1);
@@ -218,8 +239,7 @@ Cpu::tick()
         return;
     }
 
-    Word raw = mem_.read(pc_);
-    Instruction inst = isa::decode(raw);
+    const Instruction inst = text_.fetch(pc_, mem_.read(pc_));
 
     // Operand interlocks.
     Tick ready = readyTick(inst);
@@ -228,6 +248,7 @@ Cpu::tick()
         stallCycles_ += stall;
         cycles_ += stall;
         charge(pc_, stall);
+        idle_.recordStall(now, pc0, target0, regionOf(pc0), stall);
         eventq().schedule(&tickEvent_, ready);
         return;
     }
@@ -244,6 +265,7 @@ Cpu::tick()
     if (!execute(inst)) {
         // SEND against a full output queue with the stall policy:
         // retry the whole instruction next cycle.
+        idle_.noteSideEffect();
         ++niStallCycles_;
         ++cycles_;
         charge(ipc, 1);
@@ -255,6 +277,7 @@ Cpu::tick()
     ++cycles_;
     charge(ipc, 1);
     regionInsts_[regionOf(ipc)] += 1;
+    idle_.recordIssue(now, pc0, target0, regionOf(ipc));
 
     if (instructions_ > config_.maxInstructions)
         panic("CPU '%s' exceeded %llu instructions; runaway program?",
@@ -262,6 +285,12 @@ Cpu::tick()
               static_cast<unsigned long long>(config_.maxInstructions));
 
     if (halted_)
+        return;
+
+    // At an instruction boundary a poll loop may have reached a fixed
+    // point; the probe arms at each taken branch's arrival.
+    if (!branchTarget_ && !pendingInterrupt_ &&
+        idle_.atBoundary(now, target0.has_value()))
         return;
 
     eventq().schedule(&tickEvent_, now + 1);
@@ -374,6 +403,10 @@ Cpu::execute(const Instruction &inst)
             if (regMappedNi_)
                 panic("cache-mapped NI access with a register-mapped "
                       "interface (pc=0x%08x)", pc_);
+            // A load that also commands the interface is a side effect;
+            // a plain register read is not.
+            if (vaddr & ni::cmdaddr::commandBits)
+                idle_.noteSideEffect();
             // Pre-check the SEND stall before any side effect.
             auto mode = static_cast<isa::SendMode>(
                 bits(vaddr, ni::cmdaddr::modeShift + 1,
@@ -405,6 +438,7 @@ Cpu::execute(const Instruction &inst)
                                          : static_cast<Word>(inst.imm);
         Word vaddr = base + off;
         Word data = readGpr(inst.rd);
+        idle_.noteSideEffect();
         if (ni_ && ni::NetworkInterface::isNiAddr(vaddr)) {
             if (regMappedNi_)
                 panic("cache-mapped NI access with a register-mapped "
@@ -469,6 +503,7 @@ Cpu::execute(const Instruction &inst)
       }
 
       case Opcode::halt:
+        idle_.noteSideEffect();
         TCPNI_TRACE(CPU, "halt after %llu instructions",
                     static_cast<unsigned long long>(instructions_ + 1));
         halted_ = true;
@@ -478,6 +513,7 @@ Cpu::execute(const Instruction &inst)
     // Execute folded NI commands after the instruction's own
     // operation, in SEND-then-NEXT order.
     if (inst.ni.any()) {
+        idle_.noteSideEffect();
         ni::CmdResult res = ni_->command(inst.ni);
         if (res == ni::CmdResult::stall) {
             // The instruction body may have rewritten the o-register

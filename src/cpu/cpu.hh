@@ -34,6 +34,10 @@
  * line was tagged with in the assembler; the cycles (including stalls)
  * it consumes are accumulated per region.  The Table-1 harness tags its
  * kernels with "sending" / "dispatching" / "processing" regions.
+ *
+ * Fetch goes through a flat predecoded text image (TextImage), and a
+ * poll loop at a fixed point sleeps until its NI changes (IdleLoop,
+ * cpu/idle.hh): the accessors below settle the counters first.
  */
 
 #ifndef TCPNI_CPU_CPU_HH
@@ -42,9 +46,10 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "cpu/idle.hh"
+#include "cpu/text_image.hh"
 #include "isa/assembler.hh"
 #include "isa/isa.hh"
 #include "mem/memory.hh"
@@ -65,7 +70,8 @@ struct CpuConfig
      *  Guards tests and kernels against runaway loops. */
     uint64_t maxInstructions = 100'000'000;
 
-    /** Emit a disassembly trace of every executed instruction. */
+    /** Emit a disassembly trace of every executed instruction (and
+     *  one summary line per idle sleep). */
     bool trace = false;
 };
 
@@ -95,16 +101,20 @@ class Cpu : public SimObject
 
     bool halted() const { return halted_; }
 
-    /** @{ Architectural state access for harnesses and tests. */
+    /** @{ Architectural state access for harnesses and tests (a
+     *  sleeping CPU wakes to answer). */
     Word reg(unsigned r) const;
     void setReg(unsigned r, Word value);
-    Addr pc() const { return pc_; }
+    Addr pc() const;
     /** @} */
 
-    /** @{ Accounting. */
-    uint64_t instructions() const { return instructions_; }
-    uint64_t cycles() const { return cycles_; }
-    uint64_t stallCycles() const { return stallCycles_; }
+    /** True while an idle poll loop sleeps (see cpu/idle.hh). */
+    bool asleep() const { return idle_.asleep(); }
+
+    /** @{ Accounting, settled to the current point of the run. */
+    uint64_t instructions() const { return settled().instructions_; }
+    uint64_t cycles() const { return settled().cycles_; }
+    uint64_t stallCycles() const { return settled().stallCycles_; }
     uint64_t niStallCycles() const { return niStallCycles_; }
     uint64_t interruptsTaken() const { return interruptsTaken_; }
 
@@ -119,7 +129,7 @@ class Cpu : public SimObject
     class TickEvent : public Event
     {
       public:
-        explicit TickEvent(Cpu &cpu) : Event(cpuPri), cpu_(cpu) {}
+        explicit TickEvent(Cpu &cpu) : Event(cpuPri, true), cpu_(cpu) {}
         void process() override { cpu_.tick(); }
         std::string name() const override { return "cpu-tick"; }
 
@@ -128,6 +138,12 @@ class Cpu : public SimObject
     };
 
     void tick();
+
+    /** This CPU with a sleeper's counters brought up to date. */
+    const Cpu &settled() const;
+
+    /** Wake a sleeping CPU before its state is read or changed. */
+    void wakeForAccess() const;
 
     /** Execute @p inst; returns false if the instruction must retry
      *  (NI send stall). */
@@ -145,8 +161,7 @@ class Cpu : public SimObject
     /** Charge @p n cycles to the region of address @p addr. */
     void charge(Addr addr, uint64_t n);
 
-    std::string regionNameOf(uint16_t id) const;
-    uint16_t regionOf(Addr addr) const;
+    uint16_t regionOf(Addr addr) const { return text_.regionOf(addr); }
 
     Memory &mem_;
     ni::NetworkInterface *ni_;
@@ -168,13 +183,12 @@ class Cpu : public SimObject
     uint64_t niStallCycles_ = 0;
     uint64_t interruptsTaken_ = 0;
 
-    /** Per-word region tags of loaded programs. */
-    std::unordered_map<Addr, uint16_t> regionByAddr_;
-    std::vector<std::string> regionNames_{""};
+    TextImage text_;
     std::vector<uint64_t> regionCycles_{0};
     std::vector<uint64_t> regionInsts_{0};
 
     TickEvent tickEvent_;
+    IdleLoop idle_;
 };
 
 } // namespace tcpni

@@ -16,7 +16,12 @@ using isa::Opcode;
 Hpu::Hpu(std::string name, EventQueue &eq, Memory &mem,
          ni::NetworkInterface &ni, HpuConfig config)
     : SimObject(std::move(name), eq), mem_(mem), ni_(ni),
-      config_(config), tickEvent_(*this)
+      config_(config), tickEvent_(*this),
+      idle_(SimObject::name(), eq, mem, &ni,
+            IdleCore{regs_, readyAt_, &pc_, &branchTarget_,
+                     &instructions_, &cycles_, &stallCycles_,
+                     &regionCycles_, &regionInsts_, &tickEvent_,
+                     config.maxInstructions, config.trace})
 {
     tcpni_assert(config_.issueWidth >= 1);
     budget_ = config_.handlerBudget
@@ -48,34 +53,33 @@ Hpu::Hpu(std::string name, EventQueue &eq, Memory &mem,
 void
 Hpu::loadProgram(const isa::Program &prog)
 {
-    // Merge the program's regions into the HPU's region table.
-    std::vector<uint16_t> remap(prog.regionNames.size());
-    for (size_t i = 0; i < prog.regionNames.size(); ++i) {
-        const std::string &rn = prog.regionNames[i];
-        uint16_t id = 0xffff;
-        for (size_t j = 0; j < regionNames_.size(); ++j) {
-            if (regionNames_[j] == rn)
-                id = static_cast<uint16_t>(j);
-        }
-        if (id == 0xffff) {
-            id = static_cast<uint16_t>(regionNames_.size());
-            regionNames_.push_back(rn);
-            regionCycles_.push_back(0);
-            regionInsts_.push_back(0);
-        }
-        remap[i] = id;
-    }
+    wakeForAccess();
+    text_.load(prog, mem_);
+    regionCycles_.resize(text_.regionNames().size());
+    regionInsts_.resize(text_.regionNames().size());
+    idle_.disarm();
+}
 
-    for (size_t i = 0; i < prog.words.size(); ++i) {
-        Addr a = prog.base + static_cast<Addr>(i * 4);
-        mem_.write(a, prog.words[i]);
-        regionByAddr_[a] = remap[prog.regionOf[i]];
-    }
+void
+Hpu::wakeForAccess() const
+{
+    if (idle_.asleep())
+        const_cast<IdleLoop &>(idle_).wake();
+}
+
+const Hpu &
+Hpu::settled() const
+{
+    if (idle_.asleep())
+        const_cast<IdleLoop &>(idle_).settle();
+    return *this;
 }
 
 void
 Hpu::reset(Addr pc)
 {
+    wakeForAccess();
+    idle_.disarm();
     for (unsigned r = 0; r < isa::numRegs; ++r) {
         regs_[r] = 0;
         readyAt_[r] = 0;
@@ -122,11 +126,13 @@ Hpu::writeGpr(unsigned r, Word value, Tick ready_at)
     if (isNiAliasedReg(r)) {
         // NI registers are the HPU's own state; results are visible
         // immediately and never interlock.
+        idle_.noteSideEffect();
         ni_.writeReg(r - isa::niRegBase, value, ni::Port::hpu);
         return;
     }
     regs_[r] = value;
     readyAt_[r] = ready_at;
+    idle_.noteWrite(r, value, ready_at);
 }
 
 Tick
@@ -148,13 +154,6 @@ Hpu::readyTick(const Instruction &inst) const
     return ready;
 }
 
-uint16_t
-Hpu::regionOf(Addr addr) const
-{
-    auto it = regionByAddr_.find(addr);
-    return it == regionByAddr_.end() ? 0 : it->second;
-}
-
 void
 Hpu::charge(Addr addr, uint64_t n)
 {
@@ -164,10 +163,11 @@ Hpu::charge(Addr addr, uint64_t n)
 std::map<std::string, uint64_t>
 Hpu::regionCycles() const
 {
+    settled();
     std::map<std::string, uint64_t> out;
-    for (size_t i = 0; i < regionNames_.size(); ++i) {
+    for (size_t i = 0; i < regionCycles_.size(); ++i) {
         if (regionCycles_[i])
-            out[regionNames_[i]] += regionCycles_[i];
+            out[text_.regionNames()[i]] += regionCycles_[i];
     }
     return out;
 }
@@ -175,18 +175,27 @@ Hpu::regionCycles() const
 std::map<std::string, uint64_t>
 Hpu::regionInstructions() const
 {
+    settled();
     std::map<std::string, uint64_t> out;
-    for (size_t i = 0; i < regionNames_.size(); ++i) {
+    for (size_t i = 0; i < regionInsts_.size(); ++i) {
         if (regionInsts_[i])
-            out[regionNames_[i]] += regionInsts_[i];
+            out[text_.regionNames()[i]] += regionInsts_[i];
     }
     return out;
+}
+
+Addr
+Hpu::pc() const
+{
+    wakeForAccess();
+    return pc_;
 }
 
 Word
 Hpu::reg(unsigned r) const
 {
     tcpni_assert(r < isa::numRegs);
+    wakeForAccess();
     if (r == 0)
         return 0;
     if (isNiAliasedReg(r))
@@ -199,7 +208,9 @@ void
 Hpu::setReg(unsigned r, Word value)
 {
     tcpni_assert(r < isa::numRegs);
+    wakeForAccess();
     writeGpr(r, value, curTick());
+    idle_.disarm();
 }
 
 void
@@ -290,19 +301,28 @@ Hpu::tick()
 {
     if (halted_)
         return;
+    if (idle_.asleep()) {
+        if (idle_.keep())
+            return;
+        idle_.resumeHere();
+    }
 
     const Tick now = curTick();
 
     // A valid message at the start of a cycle opens (or continues) a
     // handler activation; the dispatch jump through MsgIp counts
     // toward the activation, matching sPIN's occupancy accounting.
-    if (!handlerActive_ && ni_.msgValid())
+    if (!handlerActive_ && ni_.msgValid()) {
+        idle_.noteSideEffect();
         beginHandler();
+    }
 
     unsigned issued = 0;
+    bool arrived = false;
     while (true) {
-        Word raw = mem_.read(pc_);
-        Instruction inst = isa::decode(raw);
+        const Addr pc0 = pc_;
+        const std::optional<Addr> target0 = branchTarget_;
+        const Instruction inst = text_.fetch(pc_, mem_.read(pc_));
 
         // Operand interlocks break (or, alone, stall) the bundle.
         Tick ready = readyTick(inst);
@@ -313,6 +333,7 @@ Hpu::tick()
                 cycles_ += stall;
                 charge(pc_, stall);
                 handlerTick(stall);
+                idle_.recordStall(now, pc0, target0, regionOf(pc0), stall);
                 eventq().schedule(&tickEvent_, ready);
                 return;
             }
@@ -330,6 +351,7 @@ Hpu::tick()
         nextRetired_ = false;
         if (!execute(inst)) {
             // SEND against a full output queue with the stall policy.
+            idle_.noteSideEffect();
             if (issued == 0) {
                 ++niStallCycles_;
                 ++cycles_;
@@ -349,7 +371,10 @@ Hpu::tick()
             charge(ipc, 1);
             handlerTick(1);
         }
+        idle_.recordIssue(now, pc0, target0, regionOf(ipc));
+        arrived = target0.has_value();
         if (extraCost_) {
+            idle_.noteSideEffect();
             cycles_ += extraCost_;
             charge(ipc, extraCost_);
             handlerTick(extraCost_);
@@ -375,6 +400,12 @@ Hpu::tick()
             issued >= config_.issueWidth)
             break;
     }
+
+    // An idle loop at a fixed point sleeps (single issue only: a
+    // recorded step is one instruction per cycle).
+    if (config_.issueWidth == 1 && !branchTarget_ && !handlerActive_ &&
+        idle_.atBoundary(now, arrived))
+        return;
 
     eventq().schedule(&tickEvent_, now + 1);
 }
@@ -494,6 +525,7 @@ Hpu::execute(const Instruction &inst)
         if (ni::NetworkInterface::isNiAddr(vaddr))
             panic("HPU handlers reach the NI through the register "
                   "file, not the command window (pc=0x%08x)", pc_);
+        idle_.noteSideEffect();
         if (vaddr == msg::hpuProxyAddr)
             postProxy();
         else
@@ -539,6 +571,7 @@ Hpu::execute(const Instruction &inst)
       }
 
       case Opcode::halt:
+        idle_.noteSideEffect();
         TCPNI_TRACE(HPU, "halt after %llu instructions",
                     static_cast<unsigned long long>(instructions_ + 1));
         halted_ = true;
@@ -548,6 +581,7 @@ Hpu::execute(const Instruction &inst)
     // Execute folded NI commands after the instruction's own
     // operation, in SEND-then-NEXT order.
     if (inst.ni.any()) {
+        idle_.noteSideEffect();
         ni::CmdResult res = ni_.command(inst.ni, ni::Port::hpu);
         if (res == ni::CmdResult::stall) {
             // The instruction body may have rewritten the o-register

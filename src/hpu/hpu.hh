@@ -47,6 +47,11 @@
  *
  * Cost regions work exactly as on the Cpu, so the Table-1 harness can
  * difference "dispatching"/"processing" cycles measured on the HPU.
+ *
+ * Like the Cpu, the HPU fetches from a flat predecoded TextImage, and
+ * at issue width 1 its idle `jmp msgip` loop sleeps until the NI or
+ * node memory changes (IdleLoop, cpu/idle.hh); the accessors settle
+ * the counters first.  A wider HPU steps every cycle.
  */
 
 #ifndef TCPNI_HPU_HPU_HH
@@ -55,9 +60,10 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "cpu/idle.hh"
+#include "cpu/text_image.hh"
 #include "isa/assembler.hh"
 #include "isa/isa.hh"
 #include "mem/memory.hh"
@@ -109,16 +115,20 @@ class Hpu : public SimObject
 
     bool halted() const { return halted_; }
 
-    /** @{ Architectural state access for harnesses and tests. */
+    /** @{ Architectural state access for harnesses and tests (a
+     *  sleeping HPU wakes to answer). */
     Word reg(unsigned r) const;
     void setReg(unsigned r, Word value);
-    Addr pc() const { return pc_; }
+    Addr pc() const;
     /** @} */
 
-    /** @{ Accounting. */
-    uint64_t instructions() const { return instructions_; }
-    uint64_t cycles() const { return cycles_; }
-    uint64_t stallCycles() const { return stallCycles_; }
+    /** True while the idle loop sleeps (see cpu/idle.hh). */
+    bool asleep() const { return idle_.asleep(); }
+
+    /** @{ Accounting, settled to the current point of the run. */
+    uint64_t instructions() const { return settled().instructions_; }
+    uint64_t cycles() const { return settled().cycles_; }
+    uint64_t stallCycles() const { return settled().stallCycles_; }
     uint64_t niStallCycles() const { return niStallCycles_; }
     /** Handler activations completed (NEXT retired or halt). */
     uint64_t handlersRun() const { return handlersRun_; }
@@ -145,7 +155,7 @@ class Hpu : public SimObject
     class TickEvent : public Event
     {
       public:
-        explicit TickEvent(Hpu &hpu) : Event(cpuPri), hpu_(hpu) {}
+        explicit TickEvent(Hpu &hpu) : Event(cpuPri, true), hpu_(hpu) {}
         void process() override { hpu_.tick(); }
         std::string name() const override { return "hpu-tick"; }
 
@@ -154,6 +164,12 @@ class Hpu : public SimObject
     };
 
     void tick();
+
+    /** This HPU with a sleeper's counters brought up to date. */
+    const Hpu &settled() const;
+
+    /** Wake a sleeping HPU before its state is read or changed. */
+    void wakeForAccess() const;
 
     /** Execute @p inst; returns false if the instruction must retry
      *  (NI send stall). */
@@ -176,7 +192,7 @@ class Hpu : public SimObject
     /** Charge @p n cycles to the region of address @p addr. */
     void charge(Addr addr, uint64_t n);
 
-    uint16_t regionOf(Addr addr) const;
+    uint16_t regionOf(Addr addr) const { return text_.regionOf(addr); }
 
     /** Post the current message into the host ring (store to
      *  msg::hpuProxyAddr). */
@@ -225,13 +241,12 @@ class Hpu : public SimObject
     /** Host-ring producer index (mirrored to msg::hostRingPiAddr). */
     Word ringPi_ = 0;
 
-    /** Per-word region tags of loaded programs. */
-    std::unordered_map<Addr, uint16_t> regionByAddr_;
-    std::vector<std::string> regionNames_{""};
+    TextImage text_;
     std::vector<uint64_t> regionCycles_{0};
     std::vector<uint64_t> regionInsts_{0};
 
     TickEvent tickEvent_;
+    IdleLoop idle_;
 };
 
 } // namespace tcpni

@@ -28,17 +28,42 @@ Memory::read(Addr addr) const
 }
 
 void
-Memory::write(Addr addr, Word value)
-{
-    check(addr);
-    words_[addr / 4] = value;
-}
-
-void
 Memory::clear()
 {
     for (Word &w : words_)
         w = 0;
+    ++version_;
+    if (watchers_[0])
+        wakeWatchers();
+}
+
+void
+Memory::watch(Sleeper *s)
+{
+    tcpni_assert(!watchers_[1]);
+    watchers_[watchers_[0] ? 1 : 0] = s;
+}
+
+void
+Memory::unwatch(Sleeper *s)
+{
+    if (watchers_[0] == s) {
+        watchers_[0] = watchers_[1];
+        watchers_[1] = nullptr;
+    } else {
+        tcpni_assert(watchers_[1] == s);
+        watchers_[1] = nullptr;
+    }
+}
+
+void
+Memory::wakeWatchers()
+{
+    // A woken sleeper unwatches itself: wake a copy of the list.
+    Sleeper *w[2] = {watchers_[0], watchers_[1]};
+    for (Sleeper *s : w)
+        if (s)
+            s->wake();
 }
 
 } // namespace tcpni

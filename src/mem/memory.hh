@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/event_queue.hh"
 #include "sim/types.hh"
 
 namespace tcpni
@@ -29,7 +30,25 @@ class Memory
     Word read(Addr addr) const;
 
     /** Write the word at byte address @p addr (must be aligned). */
-    void write(Addr addr, Word value);
+    void
+    write(Addr addr, Word value)
+    {
+        check(addr);
+        words_[addr / 4] = value;
+        ++version_;
+        if (watchers_[0])
+            wakeWatchers();
+    }
+
+    /** Count of writes so far: a processor probing a poll loop
+     *  compares it across a loop period. */
+    uint64_t version() const { return version_; }
+
+    /** @{ A sleeping processor of this node (at most two: the CPU and
+     *     the HPU) is woken by the next write. */
+    void watch(Sleeper *s);
+    void unwatch(Sleeper *s);
+    /** @} */
 
     /** Memory size in bytes. */
     Addr size() const { return static_cast<Addr>(words_.size() * 4); }
@@ -39,8 +58,11 @@ class Memory
 
   private:
     void check(Addr addr) const;
+    void wakeWatchers();
 
     std::vector<Word> words_;
+    uint64_t version_ = 0;
+    Sleeper *watchers_[2] = {nullptr, nullptr};
 };
 
 } // namespace tcpni

@@ -36,8 +36,10 @@ setRegistry(Registry *r)
 void
 snapshot(const EventQueue &eq, Tick now)
 {
-    if (tl_registry)
+    if (tl_registry) {
+        eq.settleSleepers();
         tl_registry->snapshot(eq.queueId(), now);
+    }
 }
 
 // --------------------------------------------------------------- Series
@@ -139,6 +141,8 @@ writeHistJson(std::ostream &os, const Histogram &h)
 void
 Group::dump(std::ostream &os, Tick now) const
 {
+    if (eq_)
+        eq_->settleSleepers();
     auto line = [&](const Series &s, const char *suffix,
                     const std::string &value) {
         os << std::left << std::setw(40)
@@ -168,6 +172,8 @@ Group::dump(std::ostream &os, Tick now) const
 void
 Group::dumpJson(std::ostream &os, Tick now) const
 {
+    if (eq_)
+        eq_->settleSleepers();
     os << "{\"name\":\"" << stats::jsonEscape(name_) << "\",\"stats\":{";
     bool first = true;
     for (const Series &s : series_) {

@@ -25,6 +25,7 @@ Sampler::fire()
 {
     qsize_ = eventq().size();
     processed_ = eventq().numProcessed();
+    eventq().settleSleepers();
     owner_.sampleNow(queueId_, curTick());
     // Reschedule only while the simulation still has work: the
     // sampler must never keep the queue from draining.

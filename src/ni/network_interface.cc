@@ -143,6 +143,7 @@ NetworkInterface::readReg(unsigned reg, Port port)
 void
 NetworkInterface::writeReg(unsigned reg, Word value, Port port)
 {
+    changed();
     switch (reg) {
       case regO0: case regO1: case regO2: case regO3: case regO4:
         outputRegs_[static_cast<unsigned>(port)][reg - regO0] = value;
@@ -313,6 +314,7 @@ NetworkInterface::enqueueSend(Message msg)
         raise(ExcCode::outputOverflow);
         TCPNI_TRACE(NI, "SEND overflows: output queue full (%zu)",
                     outputQueue_.size());
+        changed();
         return CmdResult::ok;
     }
     if (config_.traceMessages) {
@@ -347,6 +349,7 @@ NetworkInterface::enqueueSend(Message msg)
                     outThreshold());
     }
     schedulePump();
+    changed();
     return CmdResult::ok;
 }
 
@@ -378,6 +381,8 @@ NetworkInterface::command(const isa::NiCommand &cmd, Port port)
     }
     if (cmd.next)
         doNext();
+    if (cmd.any())
+        changed();
     return CmdResult::ok;
 }
 
@@ -390,11 +395,13 @@ NetworkInterface::scrollOut(Port port)
                 pending.size() + msgWords);
     for (unsigned k = 0; k < msgWords; ++k)
         pending.push_back(outputRegs_[static_cast<unsigned>(port)][k]);
+    changed();
 }
 
 void
 NetworkInterface::scrollIn()
 {
+    changed();
     if (!inputValid_ || scrollOffset_ >= currentExtra_.size()) {
         TCPNI_TRACE(NI, "SCROLL-IN past end raises inputPortError");
         raise(ExcCode::inputPortError);
@@ -550,6 +557,7 @@ NetworkInterface::acceptFromNetwork(const Message &msg)
         // still return or its window would leak shut.
         if (creditFabric_ && msg.src != node_)
             creditFabric_->noteDelivered(msg.src, node_, curTick());
+        changed();
         return true;
     }
 
@@ -596,6 +604,7 @@ NetworkInterface::acceptFromNetwork(const Message &msg)
     if (creditFabric_ && msg.src != node_)
         creditFabric_->noteDelivered(msg.src, node_, curTick());
     refill();
+    changed();
     return true;
 }
 
@@ -607,6 +616,36 @@ NetworkInterface::popPrivileged()
     Message m = std::move(privQueue_.front());
     privQueue_.pop_front();
     return m;
+}
+
+void
+NetworkInterface::watch(Sleeper *s)
+{
+    unsigned i = watchers_[0] ? 1 : 0;
+    tcpni_assert(!watchers_[i]);
+    watchers_[i] = s;
+}
+
+void
+NetworkInterface::unwatch(Sleeper *s)
+{
+    if (watchers_[0] == s) {
+        watchers_[0] = watchers_[1];
+        watchers_[1] = nullptr;
+    } else {
+        tcpni_assert(watchers_[1] == s);
+        watchers_[1] = nullptr;
+    }
+}
+
+void
+NetworkInterface::wakeWatchers()
+{
+    // A woken sleeper unwatches itself: wake a copy of the list.
+    Sleeper *w[numPorts] = {watchers_[0], watchers_[1]};
+    for (Sleeper *s : w)
+        if (s)
+            s->wake();
 }
 
 void
@@ -645,6 +684,7 @@ NetworkInterface::pump()
                         "threshold %u)", outputQueue_.size(),
                         outThreshold());
         }
+        changed();
     }
     if (!outputQueue_.empty())
         eventq().schedule(&pumpEvent_, curTick() + 1);

@@ -208,6 +208,17 @@ class NetworkInterface : public SimObject
     uint64_t inputOccTicks() const { return iqOcc_.at(curTick()); }
     /** @} */
 
+    /** Count of changes to processor-visible interface state so far
+     *  (queues, input/output/control registers, exceptions): a
+     *  processor probing a poll loop compares it across a period. */
+    uint64_t version() const { return version_; }
+
+    /** @{ A sleeping processor polling this interface (at most one per
+     *     port) is woken by the next change to its visible state. */
+    void watch(Sleeper *s);
+    void unwatch(Sleeper *s);
+    /** @} */
+
     /** Compute the current MsgIp value (Figure 7). */
     Word msgIp() const;
 
@@ -257,6 +268,17 @@ class NetworkInterface : public SimObject
     /** Offer queued output messages to the network. */
     void pump();
     void schedulePump();
+
+    /** Processor-visible state changed: bump version() and wake the
+     *  watchers. */
+    void
+    changed()
+    {
+        ++version_;
+        if (watchers_[0])
+            wakeWatchers();
+    }
+    void wakeWatchers();
 
     /** Record an exceptional condition (first pending wins). */
     void raise(ExcCode code);
@@ -308,6 +330,9 @@ class NetworkInterface : public SimObject
 
     PumpEvent pumpEvent_;
     std::function<void(Word)> interruptSink_;
+
+    uint64_t version_ = 0;
+    Sleeper *watchers_[numPorts] = {nullptr, nullptr};
 
     uint64_t sent_ = 0;
     uint64_t interrupts_ = 0;

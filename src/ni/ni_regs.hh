@@ -142,6 +142,11 @@ static_assert(typeShift == regShift + 4 &&
 /** Base address of the cache-mapped interface window. */
 constexpr Word niAddrBase = 0xffff0000u;
 
+/** The SEND-mode, NEXT and SCROLL bits: an access with none of them
+ *  set is a plain register read or write. */
+constexpr Word commandBits = (3u << modeShift) | (1u << nextBit) |
+                             (1u << scrollInBit) | (1u << scrollOutBit);
+
 /** Compose a command address (offset part only). */
 constexpr Word
 offset(unsigned reg, unsigned mode = 0, unsigned type = 0,

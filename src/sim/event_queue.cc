@@ -89,6 +89,76 @@ void
 EventQueue::schedule(Event *ev, Tick when)
 {
     tcpni_assert(ev != nullptr);
+    if (ev->chained_ &&
+        !(firing_ && firing_->ev == ev && when == curTick_ + 1)) {
+        // Anything but "the next cycle, from its own process()" begins
+        // a new run.  A start at the current tick is placed after
+        // everything already queued for it, like an insertion.
+        ev->gapEnd_ = when == curTick_ ? 0 : when;
+        ev->gapSeq_ = nextSeq_;
+    }
+    insert(ev, when);
+}
+
+void
+EventQueue::resume(Event *ev, Tick when, Tick gap_end)
+{
+    tcpni_assert(ev != nullptr && ev->chained_);
+    ev->gapEnd_ = gap_end;
+    insert(ev, when);
+}
+
+void
+EventQueue::scheduleRun(Event *ev, Tick when, Tick gap_end)
+{
+    tcpni_assert(ev != nullptr && ev->chained_);
+    ev->gapEnd_ = gap_end;
+    ev->gapSeq_ = nextSeq_;
+    insert(ev, when);
+}
+
+bool
+EventQueue::passed(const Event &ev, Tick gap_end) const
+{
+    if (!firing_)
+        return true;
+    const Entry probe{curTick_, ev.priority_, chainRank(gap_end),
+                      ev.gapSeq_, 0, nullptr};
+    return before(probe, *firing_);
+}
+
+void
+EventQueue::addSleeper(Sleeper *s)
+{
+    sleepers_.push_back(s);
+}
+
+void
+EventQueue::removeSleeper(Sleeper *s)
+{
+    auto it = std::find(sleepers_.begin(), sleepers_.end(), s);
+    tcpni_assert(it != sleepers_.end());
+    *it = sleepers_.back();
+    sleepers_.pop_back();
+}
+
+void
+EventQueue::settleSleepers() const
+{
+    for (Sleeper *s : sleepers_)
+        s->settle();
+}
+
+void
+EventQueue::catchUp(Tick bound)
+{
+    for (const Sleeper *s : sleepers_)
+        curTick_ = std::max(curTick_, s->lastEventBy(bound));
+}
+
+void
+EventQueue::insert(Event *ev, Tick when)
+{
     if (ev->scheduled_)
         panic("event '%s' scheduled twice", ev->name().c_str());
     if (when < curTick_) {
@@ -100,7 +170,12 @@ EventQueue::schedule(Event *ev, Tick when)
     ev->when_ = when;
     ev->seq_ = nextSeq_++;
     ev->scheduled_ = true;
-    Entry e{when, ev->priority_, ev->seq_, ev};
+    Entry e{when,
+            ev->priority_,
+            ev->chained_ ? chainRank(ev->gapEnd_) : 0,
+            ev->chained_ ? ev->gapSeq_ : ev->seq_,
+            ev->seq_,
+            ev};
     if (impl_ == Impl::binaryHeap)
         heap_.push(e);
     else if (when < windowEnd())
@@ -410,6 +485,12 @@ EventQueue::nextEventTick()
 void
 EventQueue::fire(const Entry &e)
 {
+    struct Firing
+    {
+        const Entry *&slot;
+        ~Firing() { slot = nullptr; }
+    } firing{firing_};
+    firing_ = &e;
     e.ev->scheduled_ = false;
     --nscheduled_;
     ++numProcessed_;
@@ -444,6 +525,7 @@ EventQueue::run(Tick max_tick)
     Entry e;
     while (popNext(max_tick, e))
         fire(e);
+    catchUp(max_tick);
     return curTick_;
 }
 

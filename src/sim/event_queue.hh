@@ -46,6 +46,33 @@ namespace tcpni
 class EventQueue;
 
 /**
+ * A component that may stop scheduling its per-cycle events while it
+ * is provably idle (see Cpu and Hpu: a poll loop at a fixed point).
+ * It still counts the cycles it would have run, lazily: anything that
+ * reads its counters first asks it to settle them up to the current
+ * point of the run.  While asleep it registers with its EventQueue
+ * (see EventQueue::addSleeper()) and with whatever state could end
+ * the fixed point (the NI, node memory), which call wake().
+ */
+class Sleeper
+{
+  public:
+    /** Bring every counter up to the current point of the run. */
+    virtual void settle() = 0;
+
+    /** Tick of the last cycle event the sleeper would have processed
+     *  at or before @p bound (0 if none). */
+    virtual Tick lastEventBy(Tick bound) const = 0;
+
+    /** State the fixed point depends on has changed: resume stepping
+     *  at the first cycle that could observe the change. */
+    virtual void wake() = 0;
+
+  protected:
+    ~Sleeper() = default;
+};
+
+/**
  * Host-side event-kernel self-profiling.
  *
  * When enabled on a thread (before its EventQueues are constructed),
@@ -102,7 +129,15 @@ class Event
         statsPri = 90,
     };
 
-    explicit Event(int priority = defaultPri) : priority_(priority) {}
+    /**
+     * @param chained  the event is a processor clock: only its own
+     *                 process() ever schedules it again, apart from
+     *                 starts and EventQueue::resume() (see the order
+     *                 record in EventQueue).
+     */
+    explicit Event(int priority = defaultPri, bool chained = false)
+        : priority_(priority), chained_(chained)
+    {}
     virtual ~Event();
 
     Event(const Event &) = delete;
@@ -117,6 +152,8 @@ class Event
     bool scheduled() const { return scheduled_; }
     Tick when() const { return when_; }
     int priority() const { return priority_; }
+    /** Order record of a chained event (see EventQueue::Entry). */
+    Tick gapEnd() const { return gapEnd_; }
 
   private:
     friend class EventQueue;
@@ -125,7 +162,14 @@ class Event
     /** Sequence number of the latest schedule() of this event; heap
      *  entries carrying an older number are stale and skipped. */
     uint64_t seq_ = 0;
+    /** @{ Order record of a chained event: the tick its current run
+     *     of consecutive-cycle schedules began at (0: started at the
+     *     tick it was scheduled in) and the seq of that schedule. */
+    Tick gapEnd_ = 0;
+    uint64_t gapSeq_ = 0;
+    /** @} */
     int priority_;
+    bool chained_;
     bool scheduled_ = false;
 };
 
@@ -175,6 +219,37 @@ class EventQueue
 
     /** Deschedule (if needed) and reschedule at a new time. */
     void reschedule(Event *ev, Tick when);
+
+    /**
+     * Schedule chained event @p ev at @p when with the order record
+     * of a chain whose current run of consecutive cycles began at
+     * @p gap_end: the place it would hold had it never stopped
+     * scheduling itself.  A sleeper resumes with this.
+     */
+    void resume(Event *ev, Tick when, Tick gap_end);
+
+    /** Schedule chained event @p ev at @p when as a schedule made at
+     *  this point of the run that begins a run of consecutive cycles
+     *  at @p gap_end (a sleeping clock replaying a stall). */
+    void scheduleRun(Event *ev, Tick when, Tick gap_end);
+
+    /**
+     * True if chained event @p ev, scheduled at the current tick with
+     * the order record of @p gap_end, would already have fired at
+     * this point of the run (always, between runs).
+     */
+    bool passed(const Event &ev, Tick gap_end) const;
+
+    /** @{ The sleepers of this queue (see Sleeper): settled before
+     *     telemetry reads, and consulted when a run ends at its
+     *     deadline so that curTick() is the tick of the last cycle
+     *     event processed, real or not. */
+    void addSleeper(Sleeper *s);
+    void removeSleeper(Sleeper *s);
+    void settleSleepers() const;
+    /** Advance curTick() over the sleepers' cycles up to @p bound. */
+    void catchUp(Tick bound);
+    /** @} */
 
     /** True when no events remain. */
     bool empty() const { return nscheduled_ == 0; }
@@ -253,13 +328,41 @@ class EventQueue
     uint64_t queueId() const { return queueId_; }
 
   private:
+    /**
+     * Within a tick and priority, entries fire in (rank, tie) order.
+     * An ordinary event has rank 0 and tie = seq: insertion order.  A
+     * chained event -- a processor clock -- ranks by its order record
+     * instead: the later its current run of consecutive cycles began,
+     * the earlier it fires, and ties go by the seq of the schedule
+     * that began the run.  For events that only reschedule themselves
+     * this is exactly insertion order (a clock rescheduled for the
+     * next cycle keeps its place among the others; one that stalled
+     * was scheduled before any of them and so fires first), but it
+     * depends on nothing a sleeping clock would have had to
+     * schedule, so a sleeper resumes in its own place.
+     */
     struct Entry
     {
         Tick when;
         int priority;
+        uint64_t rank;
+        uint64_t tie;
         uint64_t seq;
         Event *ev;
     };
+
+    static bool
+    before(const Entry &a, const Entry &b)
+    {
+        if (a.priority != b.priority)
+            return a.priority < b.priority;
+        if (a.rank != b.rank)
+            return a.rank < b.rank;
+        return a.tie < b.tie;
+    }
+
+    /** Rank of a chained event whose run began at @p gap_end. */
+    static uint64_t chainRank(Tick gap_end) { return ~gap_end; }
 
     struct Cmp
     {
@@ -267,9 +370,7 @@ class EventQueue
         {
             if (a.when != b.when)
                 return a.when > b.when;
-            if (a.priority != b.priority)
-                return a.priority > b.priority;
-            return a.seq > b.seq;
+            return before(b, a);
         }
     };
 
@@ -278,11 +379,11 @@ class EventQueue
     {
         bool operator()(const Entry &a, const Entry &b) const
         {
-            if (a.priority != b.priority)
-                return a.priority > b.priority;
-            return a.seq > b.seq;
+            return before(b, a);
         }
     };
+
+    void insert(Event *ev, Tick when);
 
     /** True when a popped heap entry still refers to a live schedule. */
     static bool
@@ -359,6 +460,10 @@ class EventQueue
     Tick peekCalendar();
 
     void fire(const Entry &e);
+
+    /** The entry being processed, or null between events. */
+    const Entry *firing_ = nullptr;
+    std::vector<Sleeper *> sleepers_;
 
     Impl impl_;
     uint64_t queueId_;

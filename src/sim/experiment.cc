@@ -119,14 +119,15 @@ Context::u32(const std::string &flag) const
 }
 
 std::vector<unsigned>
-Context::u32List(const std::string &flag, unsigned min) const
+Context::u32List(const std::string &flag, unsigned min,
+                  unsigned max) const
 {
     std::vector<unsigned> out;
     const std::string &v = str(flag);
     for (size_t at = 0; at <= v.size();) {
         size_t comma = std::min(v.find(',', at), v.size());
         out.push_back(static_cast<unsigned>(
-            parseNum(flag, v.substr(at, comma - at), UINT32_MAX, min)));
+            parseNum(flag, v.substr(at, comma - at), max, min)));
         at = comma + 1;
     }
     return out;

@@ -91,10 +91,11 @@ class Context
     /** num() for an unsigned parameter: values above UINT32_MAX are
      *  usage errors too, instead of wrapping. */
     unsigned u32(const std::string &flag) const;
-    /** A comma-separated list of u32() values, each at least @p min
-     *  (an empty entry is a usage error). */
+    /** A comma-separated list of u32() values, each in
+     *  [@p min, @p max] (an empty entry is a usage error). */
     std::vector<unsigned> u32List(const std::string &flag,
-                                  unsigned min) const;
+                                  unsigned min = 0,
+                                  unsigned max = UINT32_MAX) const;
     bool on(const std::string &flag) const;     //!< switch given?
 
     /** Was the parameter explicitly passed on the command line? */

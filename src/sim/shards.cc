@@ -98,6 +98,8 @@ ShardedEngine::run(Tick max_tick)
             }
         }
     }
+    for (auto &q : queues_)
+        q->catchUp(max_tick);
     return curTick();
 }
 

@@ -2,6 +2,7 @@
 
 #include "common/logging.hh"
 #include "ni/placement_policy.hh"
+#include "noc/message.hh"
 
 namespace tcpni
 {
@@ -10,7 +11,7 @@ namespace sys
 
 Node::Node(const std::string &name, EventQueue &eq, NodeId id,
            Network &net, const NodeConfig &cfg)
-    : id_(id)
+    : id_(id), machineNodes_(net.numNodes())
 {
     cfg.ni.validate();
     mem_ = std::make_unique<Memory>(cfg.memBytes);
@@ -32,8 +33,23 @@ Node::Node(const std::string &name, EventQueue &eq, NodeId id,
 }
 
 void
+Node::checkAddressable() const
+{
+    // A global word names its node in nodeBits bits, so a program on a
+    // larger machine would address a wrapped node id.
+    constexpr unsigned limit = 1u << nodeBits;
+    if (machineNodes_ > limit) {
+        fatal("cannot boot a program on a %u-node machine: a global "
+              "word carries %u node-id bits, so a program-running "
+              "machine has at most %u nodes", machineNodes_, nodeBits,
+              limit);
+    }
+}
+
+void
 Node::boot(const isa::Program &prog, Addr entry)
 {
+    checkAddressable();
     if (hpu_) {
         hpu_->loadProgram(prog);
         hpu_->reset(entry);
@@ -48,6 +64,7 @@ Node::boot(const isa::Program &prog, Addr entry)
 void
 Node::bootHost(const isa::Program &prog, Addr entry)
 {
+    checkAddressable();
     cpu_->loadProgram(prog);
     cpu_->reset(entry);
     cpu_->start();

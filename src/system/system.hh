@@ -72,11 +72,19 @@ class Node
     void boot(const isa::Program &prog, Addr entry);
 
     /** Load a program onto the host CPU explicitly (On-NI nodes run
-     *  the proxy service loop -- or anything else -- here). */
+     *  the proxy service loop -- or anything else -- here).  Both
+     *  boot() and bootHost() refuse a machine of more than
+     *  2^nodeBits (256) nodes: its global words cannot address every
+     *  node. */
     void bootHost(const isa::Program &prog, Addr entry);
 
   private:
+    /** fatal() unless every node of the machine fits the node-id
+     *  field of a global word (noc/message.hh). */
+    void checkAddressable() const;
+
     NodeId id_;
+    unsigned machineNodes_;
     std::unique_ptr<Memory> mem_;
     std::unique_ptr<ni::NetworkInterface> ni_;
     std::unique_ptr<transport::Policy> tpolicy_;

@@ -5,17 +5,28 @@
 #   cmake -DBIN=<binary> -DARGS=<;-separated args> -DOUT=<produced file>
 #         -DGOLDEN=<reference file> -P run_and_compare.cmake
 #
+# With -DSTDOUT=1 the binary's standard output is written to OUT and
+# compared instead (for experiments without a --json flag).
+#
 # Regenerating goldens (after an intentional change to the measured
 # numbers or the JSON schema):
 #   build/bench/tcpni_bench table1 --json tests/golden/table1.json
 #   build/bench/tcpni_bench figure12 --n 8 --particles 2 \
 #       --json tests/golden/figure12.json
+#   build/bench/tcpni_bench ablation 2>/dev/null > tests/golden/ablation.txt
 
 separate_arguments(ARGS)
 
-execute_process(COMMAND ${BIN} ${ARGS}
-                RESULT_VARIABLE rc
-                OUTPUT_QUIET ERROR_QUIET)
+if(STDOUT)
+    execute_process(COMMAND ${BIN} ${ARGS}
+                    RESULT_VARIABLE rc
+                    OUTPUT_FILE ${OUT}
+                    ERROR_QUIET)
+else()
+    execute_process(COMMAND ${BIN} ${ARGS}
+                    RESULT_VARIABLE rc
+                    OUTPUT_QUIET ERROR_QUIET)
+endif()
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${BIN} exited with status ${rc}")
 endif()
