@@ -8,11 +8,10 @@
 namespace tcpni
 {
 
-IdleLoop::IdleLoop(std::string owner, EventQueue &eq, Memory &mem,
-                   ni::NetworkInterface *ni, IdleCore core)
-    : owner_(std::move(owner)), eq_(eq), mem_(mem), ni_(ni), core_(core)
+IdleLoop::IdleLoop(const std::string &owner, EventQueue &eq,
+                   Memory &mem, ni::NetworkInterface *ni, IdleCore core)
+    : owner_(owner), eq_(eq), mem_(mem), ni_(ni), core_(core)
 {
-    steps_.reserve(maxSteps);
 }
 
 IdleLoop::~IdleLoop()
@@ -24,6 +23,8 @@ IdleLoop::~IdleLoop()
 void
 IdleLoop::arm(Tick boundary)
 {
+    if (!probe_)
+        probe_ = std::make_unique<Probe>();
     armed_ = true;
     sideEffect_ = false;
     probePc_ = *core_.pc;
@@ -31,11 +32,11 @@ IdleLoop::arm(Tick boundary)
     niVersion_ = ni_ ? ni_->version() : 0;
     memVersion_ = mem_.version();
     for (unsigned r = 0; r < isa::numRegs; ++r) {
-        snapRegs_[r] = core_.regs[r];
+        probe_->regs[r] = core_.regs[r];
         const Tick ready = core_.readyAt[r];
-        snapReady_[r] = ready > boundary ? ready - boundary : 0;
+        probe_->ready[r] = ready > boundary ? ready - boundary : 0;
     }
-    steps_.clear();
+    probe_->steps.clear();
     write_.rd = 0;
 }
 
@@ -47,7 +48,7 @@ IdleLoop::record(Tick now, Addr pc, std::optional<Addr> target,
     write_.rd = 0;
     if (!armed_)
         return;
-    if (steps_.size() >= maxSteps) {
+    if (probe_->steps.size() >= maxSteps) {
         armed_ = false;
         return;
     }
@@ -64,7 +65,7 @@ IdleLoop::record(Tick now, Addr pc, std::optional<Addr> target,
         s.value = w.value;
         s.readyDelta = static_cast<uint32_t>(w.readyAt - now);
     }
-    steps_.push_back(s);
+    probe_->steps.push_back(s);
 }
 
 void
@@ -86,15 +87,15 @@ IdleLoop::atBoundary(Tick now, bool arrived)
 {
     const Tick boundary = now + 1;
     const Addr pc = *core_.pc;
-    if (armed_ && pc == probePc_ && !sideEffect_ && !steps_.empty() &&
+    if (armed_ && pc == probePc_ && !sideEffect_ && !probe_->steps.empty() &&
         (!ni_ || ni_->version() == niVersion_) &&
         mem_.version() == memVersion_) {
         bool same = true;
         for (unsigned r = 0; r < isa::numRegs && same; ++r) {
             const Tick ready = core_.readyAt[r];
-            same = core_.regs[r] == snapRegs_[r] &&
+            same = core_.regs[r] == probe_->regs[r] &&
                    (ready > boundary ? ready - boundary : 0) ==
-                       snapReady_[r];
+                       probe_->ready[r];
         }
         if (same) {
             sleep(boundary);
@@ -102,7 +103,7 @@ IdleLoop::atBoundary(Tick now, bool arrived)
         }
     }
     if (arrived &&
-        (!armed_ || pc == probePc_ || steps_.size() >= maxSteps))
+        (!armed_ || pc == probePc_ || probe_->steps.size() >= maxSteps))
         arm(boundary);
     return false;
 }
@@ -119,9 +120,9 @@ IdleLoop::sleep(Tick start)
 
     // The step that would exceed maxInstructions: a runaway poll loop
     // still panics at the tick it would have stepping.
-    const uint64_t m = steps_.size();
+    const uint64_t m = probe_->steps.size();
     uint64_t per_period = 0;
-    for (const Step &s : steps_)
+    for (const Step &s : probe_->steps)
         per_period += s.issued;
     tcpni_assert(per_period > 0);
     const uint64_t left =
@@ -131,7 +132,7 @@ IdleLoop::sleep(Tick start)
     uint64_t j = left % per_period;
     uint64_t i = 0;
     for (;; ++i) {
-        if (steps_[i].issued && j-- == 0)
+        if (probe_->steps[i].issued && j-- == 0)
             break;
     }
     panicStep_ = k < never / (2 * m) ? k * m + i : never;
@@ -150,10 +151,10 @@ IdleLoop::nextClockStep(uint64_t from)
     // The next stall of two or more cycles at or after step @p from:
     // there the clock still fires, to make the schedule that orders it
     // among the other clocks (see keep()).
-    const uint64_t m = steps_.size();
+    const uint64_t m = probe_->steps.size();
     uint64_t next = never;
     for (uint64_t n = from; n < from + m; ++n) {
-        const Step &s = steps_[n % m];
+        const Step &s = probe_->steps[n % m];
         if (!s.issued && s.cycles >= 2) {
             next = n;
             break;
@@ -167,7 +168,7 @@ IdleLoop::nextClockStep(uint64_t from)
 Tick
 IdleLoop::tickAt(uint64_t n) const
 {
-    if (n == never || (n / steps_.size()) >= (maxTick - start_) / period_)
+    if (n == never || (n / probe_->steps.size()) >= (maxTick - start_) / period_)
         return maxTick - 1;
     return tickOf(n);
 }
@@ -200,8 +201,8 @@ IdleLoop::stopWatching()
 Tick
 IdleLoop::tickOf(uint64_t n) const
 {
-    const uint64_t m = steps_.size();
-    return start_ + (n / m) * period_ + steps_[n % m].offset;
+    const uint64_t m = probe_->steps.size();
+    return start_ + (n / m) * period_ + probe_->steps[n % m].offset;
 }
 
 uint64_t
@@ -211,12 +212,12 @@ IdleLoop::countBefore(Tick t) const
         return 0;
     const Tick d = t - start_;
     const uint64_t c = static_cast<uint64_t>(
-        std::lower_bound(steps_.begin(), steps_.end(), d % period_,
+        std::lower_bound(probe_->steps.begin(), probe_->steps.end(), d % period_,
                          [](const Step &s, Tick r) {
                              return s.offset < r;
                          }) -
-        steps_.begin());
-    return (d / period_) * steps_.size() + c;
+        probe_->steps.begin());
+    return (d / period_) * probe_->steps.size() + c;
 }
 
 uint64_t
@@ -248,41 +249,41 @@ IdleLoop::applyStep(const Step &s, uint64_t times)
 void
 IdleLoop::applyTo(uint64_t n)
 {
-    const uint64_t m = steps_.size();
+    const uint64_t m = probe_->steps.size();
     uint64_t a = settled_;
     for (; a < n && a % m != 0; ++a)
-        applyStep(steps_[a % m], 1);
+        applyStep(probe_->steps[a % m], 1);
     const uint64_t whole = (n - std::min(n, a)) / m;
     if (whole) {
-        for (const Step &s : steps_)
+        for (const Step &s : probe_->steps)
             applyStep(s, whole);
         a += whole * m;
     }
     for (; a < n; ++a)
-        applyStep(steps_[a % m], 1);
+        applyStep(probe_->steps[a % m], 1);
     settled_ = std::max(settled_, n);
 }
 
 void
 IdleLoop::restore(uint64_t n)
 {
-    const uint64_t m = steps_.size();
+    const uint64_t m = probe_->steps.size();
     const uint64_t i = n % m;
     const Tick base = start_ + (n / m) * period_;
     for (unsigned r = 0; r < isa::numRegs; ++r) {
-        core_.regs[r] = snapRegs_[r];
-        core_.readyAt[r] = base + snapReady_[r];
+        core_.regs[r] = probe_->regs[r];
+        core_.readyAt[r] = base + probe_->ready[r];
     }
     for (uint64_t j = 0; j < i; ++j) {
-        const Step &s = steps_[j];
+        const Step &s = probe_->steps[j];
         if (s.rd != 0) {
             core_.regs[s.rd] = s.value;
             core_.readyAt[s.rd] = base + s.offset + s.readyDelta;
         }
     }
-    *core_.pc = steps_[i].pc;
-    if (steps_[i].hasTarget)
-        *core_.branchTarget = steps_[i].target;
+    *core_.pc = probe_->steps[i].pc;
+    if (probe_->steps[i].hasTarget)
+        *core_.branchTarget = probe_->steps[i].target;
     else
         core_.branchTarget->reset();
 }
@@ -314,17 +315,21 @@ IdleLoop::wake()
         inform("%s %6llu  sleep pc=%08x: %llu period(s) of %llu "
                "tick(s), %llu cycle(s) skipped", owner_.c_str(),
                static_cast<unsigned long long>(start_), probePc_,
-               static_cast<unsigned long long>(n / steps_.size()),
+               static_cast<unsigned long long>(n / probe_->steps.size()),
                static_cast<unsigned long long>(period_),
                static_cast<unsigned long long>(sleepCycles_));
     }
     TCPNI_TRACE_AT(CPU, start_, owner_.c_str(),
                    "sleep pc=0x%08x: %llu period(s) of %llu tick(s), "
                    "%llu cycle(s) skipped, resume at %llu", probePc_,
-                   static_cast<unsigned long long>(n / steps_.size()),
+                   static_cast<unsigned long long>(n / probe_->steps.size()),
                    static_cast<unsigned long long>(period_),
                    static_cast<unsigned long long>(sleepCycles_),
                    static_cast<unsigned long long>(at));
+    // The clock may already sit at that tick (a recorded stall or the
+    // maxInstructions step), with the very order record it needs.
+    if (core_.clock->scheduled() && core_.clock->when() == at)
+        return;
     if (core_.clock->scheduled())
         eq_.deschedule(core_.clock);
     eq_.resume(core_.clock, at, core_.clock->gapEnd());

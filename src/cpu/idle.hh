@@ -51,6 +51,7 @@
 #ifndef TCPNI_CPU_IDLE_HH
 #define TCPNI_CPU_IDLE_HH
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -85,7 +86,9 @@ struct IdleCore
 class IdleLoop : public Sleeper
 {
   public:
-    IdleLoop(std::string owner, EventQueue &eq, Memory &mem,
+    /** @p owner names the processor in trace lines; it must outlive
+     *  the IdleLoop. */
+    IdleLoop(const std::string &owner, EventQueue &eq, Memory &mem,
              ni::NetworkInterface *ni, IdleCore core);
     ~IdleLoop();
 
@@ -186,7 +189,16 @@ class IdleLoop : public Sleeper
     void restore(uint64_t n);
     void stopWatching();
 
-    std::string owner_;
+    /** The probe's snapshot and record, allocated at the first probe
+     *  (most processors of a large mesh never run a loop). */
+    struct Probe
+    {
+        Word regs[isa::numRegs];
+        Tick ready[isa::numRegs];  //!< relative to probeStart_
+        std::vector<Step> steps;
+    };
+
+    const std::string &owner_;
     EventQueue &eq_;
     Memory &mem_;
     ni::NetworkInterface *ni_;
@@ -199,9 +211,7 @@ class IdleLoop : public Sleeper
     Tick probeStart_ = 0;
     uint64_t niVersion_ = 0;
     uint64_t memVersion_ = 0;
-    Word snapRegs_[isa::numRegs] = {};
-    Tick snapReady_[isa::numRegs] = {};  //!< relative to probeStart_
-    std::vector<Step> steps_;
+    std::unique_ptr<Probe> probe_;
     Write write_{0, 0, 0};
     /** @} */
 

@@ -95,7 +95,9 @@ EventQueue::schedule(Event *ev, Tick when)
         // a new run.  A start at the current tick is placed after
         // everything already queued for it, like an insertion.
         ev->gapEnd_ = when == curTick_ ? 0 : when;
-        ev->gapSeq_ = nextSeq_;
+        ev->seq_ = nextSeq_++;
+    } else if (!ev->chained_) {
+        ev->seq_ = nextSeq_++;
     }
     insert(ev, when);
 }
@@ -113,7 +115,7 @@ EventQueue::scheduleRun(Event *ev, Tick when, Tick gap_end)
 {
     tcpni_assert(ev != nullptr && ev->chained_);
     ev->gapEnd_ = gap_end;
-    ev->gapSeq_ = nextSeq_;
+    ev->seq_ = nextSeq_++;
     insert(ev, when);
 }
 
@@ -122,8 +124,7 @@ EventQueue::passed(const Event &ev, Tick gap_end) const
 {
     if (!firing_)
         return true;
-    const Entry probe{curTick_, ev.priority_, chainRank(gap_end),
-                      ev.gapSeq_, 0, nullptr};
+    const Entry probe{curTick_, keyOf(ev, gap_end), ev.seq_, nullptr};
     return before(probe, *firing_);
 }
 
@@ -168,14 +169,8 @@ EventQueue::insert(Event *ev, Tick when)
               static_cast<unsigned long long>(curTick_));
     }
     ev->when_ = when;
-    ev->seq_ = nextSeq_++;
     ev->scheduled_ = true;
-    Entry e{when,
-            ev->priority_,
-            ev->chained_ ? chainRank(ev->gapEnd_) : 0,
-            ev->chained_ ? ev->gapSeq_ : ev->seq_,
-            ev->seq_,
-            ev};
+    Entry e{when, keyOf(*ev, ev->gapEnd_), ev->seq_, ev};
     if (impl_ == Impl::binaryHeap)
         heap_.push(e);
     else if (when < windowEnd())
@@ -495,7 +490,7 @@ EventQueue::fire(const Entry &e)
     --nscheduled_;
     ++numProcessed_;
     TCPNI_TRACE_AT(EVENT, e.when, "eventq", "fire %s pri=%d",
-                   e.ev->name().c_str(), e.priority);
+                   e.ev->name().c_str(), e.ev->priority());
     if (profile_) {
         // Take the name first: process() may invalidate the event.
         std::string type = e.ev->name();

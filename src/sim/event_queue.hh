@@ -162,12 +162,11 @@ class Event
     /** Sequence number of the latest schedule() of this event; heap
      *  entries carrying an older number are stale and skipped. */
     uint64_t seq_ = 0;
-    /** @{ Order record of a chained event: the tick its current run
-     *     of consecutive-cycle schedules began at (0: started at the
-     *     tick it was scheduled in) and the seq of that schedule. */
+    /** Order record of a chained event: the tick its current run of
+     *  consecutive-cycle schedules began at (0: started at the tick it
+     *  was scheduled in); seq_ is then the seq of the schedule that
+     *  began the run. */
     Tick gapEnd_ = 0;
-    uint64_t gapSeq_ = 0;
-    /** @} */
     int priority_;
     bool chained_;
     bool scheduled_ = false;
@@ -224,7 +223,10 @@ class EventQueue
      * Schedule chained event @p ev at @p when with the order record
      * of a chain whose current run of consecutive cycles began at
      * @p gap_end: the place it would hold had it never stopped
-     * scheduling itself.  A sleeper resumes with this.
+     * scheduling itself.  A sleeper resumes with this.  The seq of
+     * the record is kept, so @p ev must not be resumed at the very
+     * tick it was just descheduled from (its stale entry there would
+     * look live).
      */
     void resume(Event *ev, Tick when, Tick gap_end);
 
@@ -329,12 +331,13 @@ class EventQueue
 
   private:
     /**
-     * Within a tick and priority, entries fire in (rank, tie) order.
-     * An ordinary event has rank 0 and tie = seq: insertion order.  A
-     * chained event -- a processor clock -- ranks by its order record
-     * instead: the later its current run of consecutive cycles began,
-     * the earlier it fires, and ties go by the seq of the schedule
-     * that began the run.  For events that only reschedule themselves
+     * Within a tick, entries fire in (key, seq) order.  The key holds
+     * the priority in its top byte.  An ordinary event has nothing
+     * below it, and its seq is that of its schedule(): insertion
+     * order.  A chained event -- a processor clock -- ranks by its
+     * order record instead: the later its current run of consecutive
+     * cycles began, the smaller its key, and ties go by the seq of
+     * the schedule that began the run.  For events that only reschedule themselves
      * this is exactly insertion order (a clock rescheduled for the
      * next cycle keeps its place among the others; one that stalled
      * was scheduled before any of them and so fires first), but it
@@ -344,9 +347,7 @@ class EventQueue
     struct Entry
     {
         Tick when;
-        int priority;
-        uint64_t rank;
-        uint64_t tie;
+        uint64_t key;
         uint64_t seq;
         Event *ev;
     };
@@ -354,15 +355,20 @@ class EventQueue
     static bool
     before(const Entry &a, const Entry &b)
     {
-        if (a.priority != b.priority)
-            return a.priority < b.priority;
-        if (a.rank != b.rank)
-            return a.rank < b.rank;
-        return a.tie < b.tie;
+        return a.key != b.key ? a.key < b.key : a.seq < b.seq;
     }
 
-    /** Rank of a chained event whose run began at @p gap_end. */
-    static uint64_t chainRank(Tick gap_end) { return ~gap_end; }
+    /** Bits of Entry::key below the priority byte. */
+    static constexpr uint64_t rankMask = (uint64_t{1} << 56) - 1;
+
+    /** Entry::key of @p ev when its order record is @p gap_end. */
+    static uint64_t
+    keyOf(const Event &ev, Tick gap_end)
+    {
+        const uint64_t pri = static_cast<uint64_t>(ev.priority_) << 56;
+        return ev.chained_ ? pri | (rankMask - std::min(gap_end, rankMask))
+                           : pri;
+    }
 
     struct Cmp
     {
@@ -389,7 +395,8 @@ class EventQueue
     static bool
     live(const Entry &e)
     {
-        return e.ev->scheduled_ && e.ev->seq_ == e.seq;
+        return e.ev->scheduled_ && e.ev->when_ == e.when &&
+               e.ev->seq_ == e.seq;
     }
 
     /** Ticks covered by the near-future bucket ring (power of two). */
