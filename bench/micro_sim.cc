@@ -12,7 +12,9 @@
 #include "common/logging.hh"
 #include "cpu/cpu.hh"
 #include "msg/kernels.hh"
+#include "ni/ni_regs.hh"
 #include "noc/mesh.hh"
+#include "noc/network.hh"
 #include "sim/event_queue.hh"
 
 using namespace tcpni;
@@ -109,6 +111,57 @@ BM_CpuSimulationRate(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CpuSimulationRate);
+
+void
+BM_IdleServer(benchmark::State &state)
+{
+    // An optimized register-mapped server polls `jmp msgip` for N
+    // ticks, then handles one message.  The idle poll sleeps, so the
+    // events per simulated cycle fall with N instead of staying at 1.
+    const Tick idle = static_cast<Tick>(state.range(0));
+    isa::Program prog = msg::assembleKernel(R"(
+        .org 0x4000
+    poll:
+        jmp  msgip
+        nop
+        .align HANDLER_STRIDE
+        halt
+        .align HANDLER_STRIDE
+        halt
+        .align HANDLER_STRIDE
+    entry:
+        li   ipbase, 0x4000
+        br   poll
+        nop
+    )");
+    double events = 0, cycles = 0;
+    for (auto _ : state) {
+        (void)_;
+        EventQueue eq;
+        IdealNetwork net("net", eq, 1);
+        Memory mem(1 << 20);
+        ni::NetworkInterface nic("ni", eq, 0, net,
+                                 ni::Model{ni::Placement::registerFile,
+                                           true}.config());
+        Cpu cpu("c", eq, mem, &nic);
+        cpu.loadProgram(prog);
+        cpu.reset(prog.addrOf("entry"));
+        cpu.start();
+        LambdaEvent arrive(
+            [&] {
+                Message m;
+                m.type = 2;
+                nic.acceptFromNetwork(m);
+            },
+            Event::networkPri);
+        eq.schedule(&arrive, idle);
+        eq.run();
+        events += static_cast<double>(eq.numProcessed());
+        cycles += static_cast<double>(cpu.cycles());
+    }
+    state.counters["events_per_cycle"] = events / cycles;
+}
+BENCHMARK(BM_IdleServer)->Arg(1000)->Arg(100000);
 
 void
 BM_TamMatMul(benchmark::State &state)
