@@ -415,3 +415,27 @@ TEST(SystemIntegration, GangTimeSliceWithNetworkDrain)
     EXPECT_EQ(machine.node(1).ni().pendingException(),
               ni::ExcCode::none);
 }
+
+TEST(NodeIdWidth, ProgramsRefuseMachinesAboveTheNodeField)
+{
+    // A global word names its node in 8 bits: a 17x17 machine would
+    // address node 288 as 32.  Booting a program there is refused
+    // (naming the limit); a 16x16 machine boots.
+    NodeConfig nc;
+    nc.memBytes = 1 << 16;
+    isa::Program p = msg::assembleKernel("entry:\n    halt\n");
+    System big("big", 17, 17, nc);
+    try {
+        big.node(0).boot(p, p.addrOf("entry"));
+        ADD_FAILURE() << "boot on a 289-node machine was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("at most 256 nodes"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(big.node(1).bootHost(p, p.addrOf("entry")), FatalError);
+
+    System ok("ok", 16, 16, nc);
+    ok.node(255).boot(p, p.addrOf("entry"));
+    EXPECT_TRUE(ok.run(100));
+}
