@@ -168,7 +168,8 @@ IdleLoop::nextClockStep(uint64_t from)
 Tick
 IdleLoop::tickAt(uint64_t n) const
 {
-    if (n == never || (n / probe_->steps.size()) >= (maxTick - start_) / period_)
+    if (n == never ||
+        n / probe_->steps.size() >= (maxTick - start_) / period_)
         return maxTick - 1;
     return tickOf(n);
 }
@@ -211,13 +212,12 @@ IdleLoop::countBefore(Tick t) const
     if (t <= start_)
         return 0;
     const Tick d = t - start_;
-    const uint64_t c = static_cast<uint64_t>(
-        std::lower_bound(probe_->steps.begin(), probe_->steps.end(), d % period_,
-                         [](const Step &s, Tick r) {
-                             return s.offset < r;
-                         }) -
-        probe_->steps.begin());
-    return (d / period_) * probe_->steps.size() + c;
+    const std::vector<Step> &steps = probe_->steps;
+    const auto at = std::lower_bound(
+        steps.begin(), steps.end(), d % period_,
+        [](const Step &s, Tick r) { return s.offset < r; });
+    return (d / period_) * steps.size() +
+           static_cast<uint64_t>(at - steps.begin());
 }
 
 uint64_t

@@ -337,12 +337,14 @@ class EventQueue
      * order.  A chained event -- a processor clock -- ranks by its
      * order record instead: the later its current run of consecutive
      * cycles began, the smaller its key, and ties go by the seq of
-     * the schedule that began the run.  For events that only reschedule themselves
-     * this is exactly insertion order (a clock rescheduled for the
-     * next cycle keeps its place among the others; one that stalled
-     * was scheduled before any of them and so fires first), but it
-     * depends on nothing a sleeping clock would have had to
-     * schedule, so a sleeper resumes in its own place.
+     * the schedule that began the run.  For events that only
+     * reschedule themselves this is exactly insertion order (a clock
+     * rescheduled for the next cycle keeps its place among the
+     * others; one that stalled was scheduled before any of them and
+     * so fires first), but it depends on nothing a sleeping clock
+     * would have had to schedule, so a sleeper resumes in its own
+     * place.  (A chained event started at the current tick has
+     * record 0 and so follows every clock already queued there.)
      */
     struct Entry
     {
