@@ -302,32 +302,37 @@ IdleLoop::lastEventBy(Tick bound) const
 }
 
 void
-IdleLoop::wake()
+IdleLoop::endAt(uint64_t n)
 {
     tcpni_assert(asleep_);
-    const uint64_t n = happened();
     applyTo(n);
     restore(n);
     stopWatching();
     asleep_ = false;
-    const Tick at = tickOf(n);
+    const unsigned long long periods = n / probe_->steps.size();
     if (core_.trace) {
         inform("%s %6llu  sleep pc=%08x: %llu period(s) of %llu "
                "tick(s), %llu cycle(s) skipped", owner_.c_str(),
                static_cast<unsigned long long>(start_), probePc_,
-               static_cast<unsigned long long>(n / probe_->steps.size()),
-               static_cast<unsigned long long>(period_),
+               periods, static_cast<unsigned long long>(period_),
                static_cast<unsigned long long>(sleepCycles_));
     }
     TCPNI_TRACE_AT(CPU, start_, owner_.c_str(),
                    "sleep pc=0x%08x: %llu period(s) of %llu tick(s), "
                    "%llu cycle(s) skipped, resume at %llu", probePc_,
-                   static_cast<unsigned long long>(n / probe_->steps.size()),
-                   static_cast<unsigned long long>(period_),
+                   periods, static_cast<unsigned long long>(period_),
                    static_cast<unsigned long long>(sleepCycles_),
-                   static_cast<unsigned long long>(at));
+                   static_cast<unsigned long long>(tickOf(n)));
+}
+
+void
+IdleLoop::wake()
+{
+    const uint64_t n = happened();
+    endAt(n);
     // The clock may already sit at that tick (a recorded stall or the
     // maxInstructions step), with the very order record it needs.
+    const Tick at = tickOf(n);
     if (core_.clock->scheduled() && core_.clock->when() == at)
         return;
     if (core_.clock->scheduled())
@@ -338,12 +343,7 @@ IdleLoop::wake()
 void
 IdleLoop::resumeHere()
 {
-    tcpni_assert(asleep_);
-    const uint64_t n = countBefore(eq_.curTick());
-    applyTo(n);
-    restore(n);
-    stopWatching();
-    asleep_ = false;
+    endAt(countBefore(eq_.curTick()));
 }
 
 } // namespace tcpni

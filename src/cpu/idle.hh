@@ -187,6 +187,9 @@ class IdleLoop : public Sleeper
     void applyStep(const Step &s, uint64_t times);
     /** Restore the processor's state at virtual step @p n. */
     void restore(uint64_t n);
+    /** End the sleep before virtual step @p n: charge the steps
+     *  before it, restore its state, stop watching, trace. */
+    void endAt(uint64_t n);
     void stopWatching();
 
     /** The probe's snapshot and record, allocated at the first probe

@@ -124,6 +124,29 @@ TEST(HpuDispatch, BasicOnNiMatchesBasicRegisterMapped)
 
 // ---- end-to-end offload ----------------------------------------------
 
+TEST(HpuSystem, IdleHpuAndHostProxySleepWithTheStockKernels)
+{
+    // With no client running, the stock On-NI server idles: the HPU
+    // in its `jmp msgip` loop and the host CPU polling the escape
+    // ring's producer index.  Both are fixed points and sleep, each
+    // keeping only its clock in the queue (tests/cpu/idle_test.cc
+    // pins that sleeping matches stepping cycle for cycle).
+    for (const ni::Model &model : {onniOpt, onniBasic}) {
+        System sys("idle", 2, 1, Machine::configs(model, {}));
+        isa::Program server =
+            msg::assembleKernel(msg::handlerProgram(model));
+        isa::Program host =
+            msg::assembleKernel(msg::hostProxyProgram(model));
+        sys.node(1).boot(server, server.addrOf("entry"));
+        sys.node(1).bootHost(host, host.addrOf("entry"));
+        EXPECT_FALSE(sys.run(2000));
+        EXPECT_TRUE(sys.node(1).hpu()->asleep());
+        EXPECT_TRUE(sys.node(1).cpu().asleep());
+        EXPECT_EQ(sys.eventq().size(), 2u);
+        EXPECT_EQ(sys.curTick(), 2000u);
+    }
+}
+
 TEST(HpuSystem, HandlersRunOnHpuNotCpu)
 {
     Machine m(onniOpt);
