@@ -344,7 +344,10 @@ class EventQueue
      * so fires first), but it depends on nothing a sleeping clock
      * would have had to schedule, so a sleeper resumes in its own
      * place.  (A chained event started at the current tick has
-     * record 0 and so follows every clock already queued there.)
+     * record 0 and so follows every clock already queued there.  An
+     * ordinary event fires before every chained one of its priority;
+     * no component schedules ordinary events in the processors'
+     * band.)
      */
     struct Entry
     {
