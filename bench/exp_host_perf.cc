@@ -29,7 +29,6 @@
 #include "experiments.hh"
 #include "ni/model_registry.hh"
 #include "sim/event_queue.hh"
-#include "sim/shards.hh"
 #include "sim/sweep.hh"
 #include "tam/expand.hh"
 
@@ -137,28 +136,6 @@ timeEventKernel(EventQueue::Impl impl, uint64_t total_events,
     return static_cast<double>(eq.numProcessed()) / sec;
 }
 
-/** The same churn workload spread round-robin over a ShardedEngine's
- *  queues: events never cross shards, so this isolates the lookahead
- *  scheduler's bookkeeping cost relative to a single queue. */
-double
-timeShardedKernel(unsigned shards, uint64_t total_events,
-                  unsigned population)
-{
-    ShardedEngine engine(shards);
-    std::vector<std::unique_ptr<ChurnEvent>> events;
-    for (unsigned i = 0; i < population; ++i) {
-        EventQueue &eq = engine.shard(i % shards);
-        events.push_back(std::make_unique<ChurnEvent>(
-            eq, 0x9e3779b97f4a7c15ULL * (i + 1),
-            total_events / population));
-        eq.schedule(events.back().get(), i % 8);
-    }
-    auto t0 = std::chrono::steady_clock::now();
-    engine.run();
-    double sec = seconds(t0);
-    return static_cast<double>(engine.numProcessed()) / sec;
-}
-
 int
 runHostPerf(const exp::Context &ctx)
 {
@@ -239,20 +216,6 @@ runHostPerf(const exp::Context &ctx)
                     cal[i] / 1e6, heap[i] / 1e6, cal[i] / heap[i]);
     }
 
-    // Scheduler overhead of the sharded engine on the same churn: the
-    // shards never interact, so any gap to the 1-shard row is pure
-    // lookahead bookkeeping.
-    static const unsigned shard_counts[] = {1, 4};
-    double sharded[2];
-    for (size_t i = 0; i < 2; ++i) {
-        sharded[i] = timeShardedKernel(shard_counts[i], events, 512);
-        std::printf("Sharded kernel (%llu events, 512 pending, %u "
-                    "shard%s): %.2fM ev/s\n",
-                    static_cast<unsigned long long>(events),
-                    shard_counts[i], shard_counts[i] == 1 ? "" : "s",
-                    sharded[i] / 1e6);
-    }
-
     // Splice our sections into --out, preserving anything another
     // producer (the scale experiment) owns there.
     std::ostringstream sec;
@@ -305,11 +268,6 @@ runHostPerf(const exp::Context &ctx)
             << ",\"calendarEventsPerSec\":" << cal[i]
             << ",\"heapEventsPerSec\":" << heap[i]
             << ",\"calendarVsHeap\":" << cal[i] / heap[i] << "}";
-    }
-    sec << "],\"sharded\":[";
-    for (size_t i = 0; i < 2; ++i) {
-        sec << (i ? "," : "") << "{\"shards\":" << shard_counts[i]
-            << ",\"eventsPerSec\":" << sharded[i] << "}";
     }
     sec << "]}";
     jsonio::upsert(out, "eventKernel", sec.str());

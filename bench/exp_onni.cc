@@ -195,7 +195,7 @@ runModel(const ni::Model &model, unsigned flood, unsigned elems)
     }
     r.clientStalls = machine.node(0).cpu().niStallCycles();
     r.received = machine.node(1).ni().numReceived();
-    r.ticks = machine.eventq().curTick();
+    r.ticks = machine.curTick();
     return r;
 }
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * The scaling experiment: how far the sharded simulation core takes
- * one host -- meshes from 64 to 65536 nodes under synthetic
- * uniform-random and hotspot traffic (system/traffic.hh), reporting
- * simulator throughput (events/second), memory footprint (peak RSS
- * and bytes per event), and the sharded scheduler's self-metrics.
+ * The scaling experiment: how far the simulation core takes one host
+ * -- meshes from 64 to 65536 nodes under synthetic uniform-random and
+ * hotspot traffic (system/traffic.hh), reporting simulator throughput
+ * (events/second), mesh work (router visits) and memory footprint
+ * (peak RSS and bytes per event).
  *
  * Every point is one System with per-node TrafficGen drivers: no
  * programs execute, so the cost measured is the simulation core
@@ -65,11 +65,10 @@ struct ScalePoint
 {
     unsigned nodes = 0;
     std::string pattern;
-    unsigned shards = 0;       //!< effective (clamped) shard count
     bool ok = false;
     uint64_t events = 0;
     uint64_t ticks = 0;
-    uint64_t routerVisits = 0;  //!< mesh work, shard-independent
+    uint64_t routerVisits = 0;  //!< mesh work
     double wallSec = 0;
     double eventsPerSec = 0;
     uint64_t sent = 0;
@@ -77,9 +76,6 @@ struct ScalePoint
     uint64_t stallRetries = 0;
     uint64_t peakRss = 0;
     double bytesPerEvent = 0;
-    uint64_t rounds = 0;
-    uint64_t soloWindows = 0;
-    uint64_t crossPushes = 0;
 };
 
 /** Near-square mesh dimensions covering @p nodes exactly. */
@@ -95,15 +91,11 @@ meshDims(unsigned nodes, unsigned &width, unsigned &height)
 }
 
 ScalePoint
-runPoint(unsigned nodes, unsigned shards_req,
-         const sys::TrafficConfig &tc, const std::string &pattern)
+runPoint(unsigned nodes, const sys::TrafficConfig &tc,
+         const std::string &pattern)
 {
     unsigned width, height;
     meshDims(nodes, width, height);
-    // 0 = auto: one shard per row up to 8 (row bands stay large
-    // enough that lockstep rounds amortize).
-    unsigned shards =
-        shards_req ? shards_req : (height < 8 ? height : 8);
 
     sys::NodeConfig cfg;
     // Nothing executes, so node memory only has to exist; 4 KiB keeps
@@ -116,7 +108,7 @@ runPoint(unsigned nodes, unsigned shards_req,
 
     auto machine = std::make_unique<sys::System>(
         "scale", width, height,
-        std::vector<sys::NodeConfig>(nodes, cfg), shards);
+        std::vector<sys::NodeConfig>(nodes, cfg));
 
     std::vector<std::unique_ptr<sys::TrafficGen>> gens;
     gens.reserve(nodes);
@@ -129,7 +121,6 @@ runPoint(unsigned nodes, unsigned shards_req,
     ScalePoint p;
     p.nodes = nodes;
     p.pattern = pattern;
-    p.shards = machine->engine().numShards();
 
     auto t0 = std::chrono::steady_clock::now();
     bool quiesced = machine->run(50'000'000);
@@ -147,9 +138,6 @@ runPoint(unsigned nodes, unsigned shards_req,
         p.drained += g->drained();
         p.stallRetries += g->stallRetries();
     }
-    p.rounds = machine->engine().rounds();
-    p.soloWindows = machine->engine().soloWindows();
-    p.crossPushes = machine->engine().crossShardPushes();
     p.ok = quiesced && p.sent == uint64_t(nodes) * tc.messages &&
            p.drained == p.sent;
 
@@ -165,7 +153,6 @@ int
 runScale(const exp::Context &ctx)
 {
     const std::vector<unsigned> sizes = ctx.u32List("--sizes", 2);
-    const unsigned shards = ctx.u32("--shards");
     const unsigned hotspot = ctx.u32("--hotspot-permille");
     sys::TrafficConfig tc;
     tc.messages = static_cast<uint64_t>(ctx.num("--msgs"));
@@ -198,12 +185,12 @@ runScale(const exp::Context &ctx)
             std::fprintf(stderr, "  running %s...\n", label.c_str());
             sys::TrafficConfig ptc = tc;
             ptc.hotspotPermille = pat.permille;
-            points.push_back(runPoint(n, shards, ptc, pat.name));
+            points.push_back(runPoint(n, ptc, pat.name));
         }
     }
 
     TextTable tt;
-    tt.header({"Nodes", "Pattern", "Shards", "Events", "Ticks",
+    tt.header({"Nodes", "Pattern", "Events", "Ticks",
                "Router visits", "Wall (s)", "Mev/s", "Peak RSS",
                "B/event", "Result"});
     char buf[64];
@@ -218,7 +205,7 @@ runScale(const exp::Context &ctx)
         std::snprintf(buf, sizeof(buf), "%.1f", p.bytesPerEvent);
         std::string bpe = buf;
         tt.row({std::to_string(p.nodes), p.pattern,
-                std::to_string(p.shards), fmtK(double(p.events)),
+                fmtK(double(p.events)),
                 std::to_string(p.ticks), fmtK(double(p.routerVisits)),
                 wall, mevs, rss, bpe,
                 p.ok ? "ok" : "FAILED"});
@@ -232,18 +219,15 @@ runScale(const exp::Context &ctx)
     for (size_t i = 0; i < points.size(); ++i) {
         const ScalePoint &p = points[i];
         sec << (i ? ",\n" : "\n") << "{\"nodes\":" << p.nodes
-            << ",\"pattern\":\"" << p.pattern << "\",\"shards\":"
-            << p.shards << ",\"ok\":" << (p.ok ? "true" : "false")
+            << ",\"pattern\":\"" << p.pattern << "\",\"ok\":"
+            << (p.ok ? "true" : "false")
             << ",\"events\":" << p.events << ",\"ticks\":" << p.ticks
             << ",\"routerVisits\":" << p.routerVisits
             << ",\"wallSec\":" << p.wallSec << ",\"eventsPerSec\":"
             << p.eventsPerSec << ",\"sent\":" << p.sent
             << ",\"drained\":" << p.drained << ",\"stallRetries\":"
             << p.stallRetries << ",\"peakRssBytes\":" << p.peakRss
-            << ",\"bytesPerEvent\":" << p.bytesPerEvent
-            << ",\"engine\":{\"rounds\":" << p.rounds
-            << ",\"soloWindows\":" << p.soloWindows
-            << ",\"crossShardPushes\":" << p.crossPushes << "}}";
+            << ",\"bytesPerEvent\":" << p.bytesPerEvent << "}";
     }
     sec << "]}";
     if (!jsonio::upsertSection(out_file, "scale", sec.str()))
@@ -263,14 +247,11 @@ registerScale(exp::ExperimentRegistry &reg)
 {
     reg.add({
         "scale",
-        "Simulation-core scaling: sharded-engine throughput and "
-        "footprint on growing meshes",
+        "Simulation-core scaling: event throughput and footprint on "
+        "growing meshes",
         {
             {"--sizes", "N,N,...", "mesh node counts (ascending)",
              "64,4096,65536", false},
-            {"--shards", "S",
-             "event-queue shards (0: auto, min(height, 8))", "0",
-             false},
             {"--msgs", "N", "messages sent per node", "16", false},
             {"--gap", "T", "mean inter-send gap in ticks", "20",
              false},

@@ -134,7 +134,7 @@ runVariant(const ni::Model &server_model, unsigned flood)
     r.cpuHandler = handlerCycles(machine.node(1).cpu().regionCycles());
     if (Hpu *hpu = machine.node(1).hpu())
         r.hpuHandler = handlerCycles(hpu->regionCycles());
-    r.ticks = machine.eventq().curTick();
+    r.ticks = machine.curTick();
     return r;
 }
 

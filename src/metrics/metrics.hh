@@ -224,12 +224,13 @@ struct TaskMetrics
 /**
  * The per-task registry groups link to while it is installed.
  *
- * Detects simulation boundaries by EventQueue identity: the first
- * group linked against a never-before-seen queue starts a new
- * simulation index and (when a sample interval is configured) spawns a
- * Sampler on that queue; later groups linked against the same queue
- * join its simulation regardless of link order (a sharded machine
- * interleaves registrations across its shard queues).
+ * Detects simulation boundaries by EventQueue identity (a System runs
+ * on one queue, so one queue is one System): the first group linked
+ * against a never-before-seen queue starts a new simulation index and
+ * (when a sample interval is configured) spawns a Sampler on that
+ * queue; later groups linked against the same queue join its
+ * simulation regardless of link order (two Systems alive at once may
+ * interleave their registrations).
  */
 class Registry
 {

@@ -13,47 +13,15 @@ MeshNetwork::MeshNetwork(std::string name, EventQueue &eq, unsigned width,
                          unsigned cycles_per_word)
     : Network(std::move(name), eq, width * height), width_(width),
       height_(height), bufferDepth_(buffer_depth),
-      cyclesPerWord_(cycles_per_word), routers_(width * height)
-{
-    initPartitions(ShardPlan::rows(width, height, 1), nullptr);
-    registerMetrics();
-}
-
-MeshNetwork::MeshNetwork(std::string name, ShardedEngine &engine,
-                         const ShardPlan &plan, unsigned buffer_depth,
-                         unsigned cycles_per_word)
-    : Network(std::move(name), engine.shard(0),
-              plan.width * plan.height),
-      width_(plan.width), height_(plan.height),
-      bufferDepth_(buffer_depth), cyclesPerWord_(cycles_per_word),
-      routers_(plan.width * plan.height)
-{
-    initPartitions(plan, &engine);
-    registerMetrics();
-}
-
-void
-MeshNetwork::initPartitions(const ShardPlan &plan, ShardedEngine *engine)
+      cyclesPerWord_(cycles_per_word), routers_(width * height),
+      active_((width * height + 63) / 64, 0), tickEvent_(*this)
 {
     tcpni_assert(width_ > 0 && height_ > 0);
     tcpni_assert(bufferDepth_ > 0);
-    engine_ = engine;
-
     for (auto &router : routers_)
         for (auto &q : router.inq)
             q.reset(bufferDepth_);
-
-    partOf_.resize(numNodes());
-    parts_.reserve(plan.shards);
-    for (unsigned s = 0; s < plan.shards; ++s) {
-        const NodeId first = plan.firstRow(s) * width_;
-        const NodeId end = plan.firstRow(s + 1) * width_;
-        EventQueue &q = engine ? engine->shard(s) : eventq();
-        parts_.push_back(
-            std::make_unique<Partition>(*this, s, q, first, end));
-        for (NodeId r = first; r < end; ++r)
-            partOf_[r] = s;
-    }
+    registerMetrics();
 }
 
 void
@@ -168,8 +136,7 @@ MeshNetwork::offer(NodeId src, const Message &msg)
         panic("message addressed to nonexistent node %u: %s", msg.dest(),
               msg.toString().c_str());
     }
-    Partition &part = *parts_[partOf_[src]];
-    const Tick now = part.eq->curTick();
+    const Tick now = curTick();
     auto &q = routers_[src].inq[static_cast<unsigned>(Port::local)];
     if (q.size() >= bufferDepth_) {
         TCPNI_TRACE(NOC, "refuse injection at node %u (buffer full)",
@@ -182,8 +149,8 @@ MeshNetwork::offer(NodeId src, const Message &msg)
     land(src, Port::local, {msg, now, now, Port::local});
     ++injected_;
     ++occupied_;
-    if (!part.tick.scheduled())
-        part.eq->schedule(&part.tick, now + 1);
+    if (!tickEvent_.scheduled())
+        eventq().schedule(&tickEvent_, now + 1);
     return true;
 }
 
@@ -200,42 +167,35 @@ MeshNetwork::land(NodeId r, Port in, InFlight m)
     m.want = route(r, m.msg.dest());
     router.inq[static_cast<unsigned>(in)].push_back(std::move(m));
     ++router.resident;
-    Partition &p = *parts_[partOf_[r]];
-    ++p.occupied;
-    const NodeId bit = r - p.firstRouter;
-    p.active[bit / 64] |= uint64_t{1} << (bit % 64);
+    active_[r / 64] |= uint64_t{1} << (r % 64);
 }
 
 void
-MeshNetwork::tick(unsigned part_idx)
+MeshNetwork::tick()
 {
-    Partition &part = *parts_[part_idx];
-    // The partition's own queue carries its clock; SimObject::curTick()
-    // would read shard 0's, which may differ while another shard runs.
-    const Tick now = part.eq->curTick();
+    const Tick now = curTick();
 
     // Visit the active routers in ascending order, as a scan of every
     // router would (an empty router has nothing to do).  A bit set
     // during this tick belongs to a router whose messages all arrived
     // this cycle and cannot move again before the next one, so each
     // word is read once; a router it sets is visited next tick.
-    for (size_t w = 0; w < part.active.size(); ++w) {
-        for (uint64_t bits = part.active[w]; bits != 0;
-             bits &= bits - 1) {
+    for (size_t w = 0; w < active_.size(); ++w) {
+        for (uint64_t bits = active_[w]; bits != 0; bits &= bits - 1) {
             const unsigned b = std::countr_zero(bits);
-            const NodeId r = part.firstRouter + w * 64 + b;
-            visit(part, part_idx, r, now);
+            const NodeId r = w * 64 + b;
+            visit(r, now);
             if (routers_[r].resident == 0)
-                part.active[w] &= ~(uint64_t{1} << b);
+                active_[w] &= ~(uint64_t{1} << b);
         }
     }
 
-    if (part.occupied > 0)
-        part.eq->schedule(&part.tick, now + 1);
+    if (occupied_ > 0)
+        eventq().schedule(&tickEvent_, now + 1);
 }
 
 void
-MeshNetwork::visit(Partition &part, unsigned part_idx, NodeId r, Tick now)
+MeshNetwork::visit(NodeId r, Tick now)
 {
     RouterState &router = routers_[r];
     // Bit p is set while a head that has not advanced this cycle wants
@@ -250,7 +210,7 @@ MeshNetwork::visit(Partition &part, unsigned part_idx, NodeId r, Tick now)
     for (const auto &q : router.inq)
         note(q);
     // Only messages that arrived this cycle: nothing here can move, and
-    // the visit is not counted (so the count is shard-independent).
+    // the visit is not counted.
     if (wanted == 0)
         return;
     ++routerVisits_;
@@ -296,7 +256,6 @@ MeshNetwork::visit(Partition &part, unsigned part_idx, NodeId r, Tick now)
                                     now - head.injectTick));
                     q.pop_front();
                     --router.resident;
-                    --part.occupied;
                     --occupied_;
                     moved = true;
                 }
@@ -308,7 +267,6 @@ MeshNetwork::visit(Partition &part, unsigned part_idx, NodeId r, Tick now)
                     InFlight m = std::move(head);
                     q.pop_front();
                     --router.resident;
-                    --part.occupied;
                     m.movedAt = now;
                     if (auto *s = trace::sink())
                         s->record(m.msg.traceId, trace::Stage::hop, dst,
@@ -317,17 +275,6 @@ MeshNetwork::visit(Partition &part, unsigned part_idx, NodeId r, Tick now)
                                 static_cast<unsigned long long>(
                                     m.msg.traceId), r, dst);
                     land(dst, in, std::move(m));
-                    const uint32_t pd = partOf_[dst];
-                    if (pd != part_idx) {
-                        // Cross-shard link push: the message is in the
-                        // neighbour partition; wake its tick one link
-                        // latency later.
-                        Partition &dp = *parts_[pd];
-                        if (!dp.tick.scheduled())
-                            dp.eq->schedule(&dp.tick, now + 1);
-                        if (engine_)
-                            engine_->noteCrossShardPush();
-                    }
                     moved = true;
                 }
             }

@@ -20,35 +20,25 @@
  * in-order delivery per source-destination pair.
  *
  * Event-driven tick: a tick visits only the routers that hold
- * messages.  Each partition keeps a bitmap of its non-empty routers
- * and walks the set bits in ascending router order, the order of a
- * full scan.  A router that gains its first message during a tick
+ * messages.  The mesh keeps a bitmap of its non-empty routers and
+ * walks the set bits in ascending router order, the order of a full
+ * scan.  A router that gains its first message during a tick
  * holds only messages that moved this cycle, which the movedAt rule
  * (one hop per message per cycle) keeps in place until the next one,
  * so visiting it then gives exactly the full scan's result.  A
  * message's output port is routed once, when it lands on a router,
- * and cached with it.
- *
- * Sharding: the mesh can be split into row-contiguous partitions, one
- * per shard of a ShardedEngine.  Each partition ticks its own active
- * routers on its own event queue; a hop whose downstream router
- * belongs to a different partition is a cross-shard link push -- it
- * lands in the neighbour partition's buffer and bitmap, wakes that
- * partition's tick event at now + 1, and notifies the engine so any
- * solo lookahead window collapses.  Router buffers are fixed-capacity
- * rings, so the forwarding path performs no heap allocation.
+ * and cached with it.  Router buffers are fixed-capacity rings, so
+ * the forwarding path performs no heap allocation.
  */
 
 #ifndef TCPNI_NOC_MESH_HH
 #define TCPNI_NOC_MESH_HH
 
-#include <memory>
 #include <vector>
 
 #include "common/ring.hh"
 #include "metrics/metrics.hh"
 #include "noc/network.hh"
-#include "sim/shards.hh"
 
 namespace tcpni
 {
@@ -73,15 +63,6 @@ class MeshNetwork : public Network
                 unsigned height, unsigned buffer_depth = 4,
                 unsigned cycles_per_word = 0);
 
-    /**
-     * Sharded construction: one row-contiguous partition per shard of
-     * @p engine (per @p plan), each ticking on its own event queue.
-     * With plan.shards == 1 this is exactly the single-queue mesh.
-     */
-    MeshNetwork(std::string name, ShardedEngine &engine,
-                const ShardPlan &plan, unsigned buffer_depth = 4,
-                unsigned cycles_per_word = 0);
-
     bool offer(NodeId src, const Message &msg) override;
     bool idle() const override;
 
@@ -98,9 +79,8 @@ class MeshNetwork : public Network
     uint64_t injected() const { return injected_; }
     const metrics::Histogram &latencyDist() const { return latency_; }
 
-    /** Router visits made by tick(), all partitions: one per router
-     *  per cycle in which it holds a message that can move.  The
-     *  mesh's work, independent of the shard count. */
+    /** Router visits made by tick(): one per router per cycle in
+     *  which it holds a message that can move.  The mesh's work. */
     uint64_t routerVisits() const { return routerVisits_; }
 
   private:
@@ -133,41 +113,21 @@ class MeshNetwork : public Network
     class TickEvent : public Event
     {
       public:
-        TickEvent(MeshNetwork &net, unsigned part)
-            : Event(networkPri), net_(net), part_(part)
+        explicit TickEvent(MeshNetwork &net)
+            : Event(networkPri), net_(net)
         {}
-        void process() override { net_.tick(part_); }
+        void process() override { net_.tick(); }
         std::string name() const override { return "mesh-tick"; }
 
       private:
         MeshNetwork &net_;
-        unsigned part_;
     };
 
-    /** One row-contiguous shard of the mesh: routers
-     *  [first, end) ticking on their own queue. */
-    struct Partition
-    {
-        Partition(MeshNetwork &net, unsigned idx, EventQueue &q,
-                  NodeId first, NodeId end)
-            : tick(net, idx), eq(&q), firstRouter(first),
-              active((end - first + 63) / 64, 0)
-        {}
-
-        TickEvent tick;
-        EventQueue *eq;
-        NodeId firstRouter;
-        uint64_t occupied = 0; //!< messages buffered in this partition
-        /** Bit r - firstRouter is set while router r holds messages. */
-        std::vector<uint64_t> active;
-    };
-
-    void initPartitions(const ShardPlan &plan, ShardedEngine *engine);
     void registerMetrics();
 
-    void tick(unsigned part);
+    void tick();
     /** One router's arbitration for this cycle (the body of tick). */
-    void visit(Partition &part, unsigned part_idx, NodeId r, Tick now);
+    void visit(NodeId r, Tick now);
     /** Buffer @p m in router @p r's input @p in, routing it there. */
     void land(NodeId r, Port in, InFlight m);
     NodeId neighbor(NodeId here, Port out) const;
@@ -176,12 +136,9 @@ class MeshNetwork : public Network
     unsigned width_, height_, bufferDepth_;
     unsigned cyclesPerWord_;
     std::vector<RouterState> routers_;
-
-    std::vector<std::unique_ptr<Partition>> parts_;
-    /** Partition index of each router. */
-    std::vector<uint32_t> partOf_;
-    /** Non-null only for the sharded constructor. */
-    ShardedEngine *engine_ = nullptr;
+    /** Bit r is set while router r holds messages. */
+    std::vector<uint64_t> active_;
+    TickEvent tickEvent_;
 
     uint64_t injected_ = 0;
     uint64_t occupied_ = 0;   //!< injected, not yet ejected

@@ -178,9 +178,6 @@ EventQueue::insert(Event *ev, Tick when)
     else
         overflow_.push(e);
     ++nscheduled_;
-    // A new earliest event only lowers the memoized peek.
-    if (peekValid_ && when < peekCache_)
-        peekCache_ = when;
 }
 
 void
@@ -194,9 +191,6 @@ EventQueue::deschedule(Event *ev)
     // until then).
     ev->scheduled_ = false;
     --nscheduled_;
-    // The memoized peek may have named this event's tick.
-    if (peekValid_ && ev->when_ == peekCache_)
-        peekValid_ = false;
 }
 
 void
@@ -422,59 +416,8 @@ EventQueue::popNextCalendar(Tick bound, Entry &out)
 bool
 EventQueue::popNext(Tick bound, Entry &out)
 {
-    const bool ok = impl_ == Impl::binaryHeap
-                        ? popNextHeap(bound, out)
-                        : popNextCalendar(bound, out);
-    if (ok)
-        peekValid_ = false;
-    return ok;
-}
-
-Tick
-EventQueue::peekHeap()
-{
-    while (!heap_.empty() && !live(heap_.top()))
-        heap_.pop();
-    return heap_.empty() ? maxTick : heap_.top().when;
-}
-
-Tick
-EventQueue::peekCalendar()
-{
-    migrateOverflow();
-
-    const Tick end = windowEnd();
-    for (Tick t = curTick_; t < end && ringCount_ > 0; ++t) {
-        const size_t idx = t & ringMask_;
-        std::vector<Entry> &b = ring_[idx];
-        if (b.empty())
-            continue;
-        for (const Entry &e : b)
-            if (live(e))
-                return t;
-        // All-stale bucket: empty it so the scan never revisits it.
-        ringCount_ -= b.size();
-        b.clear();
-        if (b.capacity() > bucketKeepCap_)
-            retireStore(b, idx);
-    }
-
-    while (!overflow_.empty() && !live(overflow_.top()))
-        overflow_.pop();
-    return overflow_.empty() ? maxTick : overflow_.top().when;
-}
-
-Tick
-EventQueue::nextEventTick()
-{
-    if (nscheduled_ == 0)
-        return maxTick;
-    if (!peekValid_) {
-        peekCache_ = impl_ == Impl::binaryHeap ? peekHeap()
-                                               : peekCalendar();
-        peekValid_ = true;
-    }
-    return peekCache_;
+    return impl_ == Impl::binaryHeap ? popNextHeap(bound, out)
+                                     : popNextCalendar(bound, out);
 }
 
 void
@@ -521,23 +464,6 @@ EventQueue::run(Tick max_tick)
     while (popNext(max_tick, e))
         fire(e);
     catchUp(max_tick);
-    return curTick_;
-}
-
-Tick
-EventQueue::runWindow(Tick bound, const bool &stop)
-{
-    Entry e;
-    Tick eff = bound;
-    while (popNext(eff, e)) {
-        fire(e);
-        if (stop) {
-            // Finish the tick in flight, then hand back to the
-            // engine: anything we made visible to another shard
-            // lands at curTick_ + 1, which may now precede eff.
-            eff = curTick_;
-        }
-    }
     return curTick_;
 }
 

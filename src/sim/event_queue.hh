@@ -249,8 +249,6 @@ class EventQueue
     void addSleeper(Sleeper *s);
     void removeSleeper(Sleeper *s);
     void settleSleepers() const;
-    /** Advance curTick() over the sleepers' cycles up to @p bound. */
-    void catchUp(Tick bound);
     /** @} */
 
     /** True when no events remain. */
@@ -265,28 +263,8 @@ class EventQueue
      */
     Tick run(Tick max_tick = maxTick);
 
-    /**
-     * Run like run(@p bound), but watch @p stop after every event:
-     * once it reads true the effective bound collapses to the current
-     * tick, so the queue finishes the tick it is processing and
-     * returns instead of running ahead.  The sharded engine uses this
-     * for conservative lookahead -- a shard granted a solo window
-     * runs until the window closes or it makes state visible to
-     * another shard (a cross-shard link push sets the flag).
-     * @return the tick of the last processed event.
-     */
-    Tick runWindow(Tick bound, const bool &stop);
-
     /** Process exactly one event, if any. @return true if one fired. */
     bool step();
-
-    /**
-     * Tick of the earliest live event, or maxTick when empty.  May
-     * prune stale entries and migrate overflow entries (both
-     * order-preserving); the result is memoized until it can change,
-     * so repeated peeks between pops are O(1).
-     */
-    Tick nextEventTick();
 
     /** Total number of events processed so far. */
     uint64_t numProcessed() const { return numProcessed_; }
@@ -300,23 +278,7 @@ class EventQueue
     uint64_t
     nextTraceId()
     {
-        uint64_t id = nextTraceId_;
-        nextTraceId_ += traceIdStride_;
-        return id;
-    }
-
-    /**
-     * Give this queue a strided trace-id lane.  Shard s of an S-shard
-     * engine uses (start = s + 1, stride = S), so ids stay globally
-     * unique and each shard's sequence is independent of how the
-     * other shards interleave.  The default lane (1, 1) is the
-     * classic single-queue sequence.
-     */
-    void
-    setTraceIdLane(uint64_t start, uint64_t stride)
-    {
-        nextTraceId_ = start;
-        traceIdStride_ = stride ? stride : 1;
+        return nextTraceId_++;
     }
 
     /**
@@ -468,10 +430,10 @@ class EventQueue
     bool popNextHeap(Tick bound, Entry &out);
     bool popNextCalendar(Tick bound, Entry &out);
 
-    Tick peekHeap();
-    Tick peekCalendar();
-
     void fire(const Entry &e);
+
+    /** Advance curTick_ over the sleepers' cycles up to @p bound. */
+    void catchUp(Tick bound);
 
     /** The entry being processed, or null between events. */
     const Entry *firing_ = nullptr;
@@ -485,13 +447,7 @@ class EventQueue
     uint64_t nextSeq_ = 0;
     uint64_t numProcessed_ = 0;
     uint64_t nextTraceId_ = 1;
-    uint64_t traceIdStride_ = 1;
     size_t nscheduled_ = 0;
-
-    /** Memoized nextEventTick(); invalidated by pops and lowered by
-     *  schedules, so idle peeks never rescan the structures. */
-    Tick peekCache_ = 0;
-    bool peekValid_ = false;
 
     // --- Impl::binaryHeap state.
     std::priority_queue<Entry, std::vector<Entry>, Cmp> heap_;

@@ -89,7 +89,7 @@ parseNum(const std::string &flag, const std::string &v, uint64_t max,
 {
     // Digits only: a sign would wrap in the unsigned callers (--msgs -1
     // asked for ~4G messages and hung), and a value past @p max would
-    // wrap when narrowed (--shards 5000000000 became 705032704).
+    // wrap when narrowed (5000000000 would become 705032704).
     errno = 0;
     const uint64_t n = std::strtoull(v.c_str(), nullptr, 10);
     if (v.empty() || v.find_first_not_of("0123456789") !=

@@ -80,23 +80,14 @@ System::System(std::string name, unsigned width, unsigned height,
 System::System(std::string name, unsigned width, unsigned height,
                const std::vector<NodeConfig> &cfgs,
                EventQueue::Impl eq_impl)
-    : System(std::move(name), width, height, cfgs, 1, eq_impl)
-{
-}
-
-System::System(std::string name, unsigned width, unsigned height,
-               const std::vector<NodeConfig> &cfgs, unsigned shards,
-               EventQueue::Impl eq_impl)
-    : plan_(ShardPlan::rows(width, height, shards)),
-      engine_(plan_.shards, eq_impl)
+    : engine_(eq_impl)
 {
     tcpni_assert(cfgs.size() == static_cast<size_t>(width) * height);
-    mesh_ = std::make_unique<MeshNetwork>(name + ".mesh", engine_,
-                                          plan_);
+    mesh_ = std::make_unique<MeshNetwork>(name + ".mesh", engine_, width,
+                                          height);
     for (NodeId id = 0; id < width * height; ++id) {
         nodes_.push_back(std::make_unique<Node>(
-            name + ".node" + std::to_string(id),
-            engine_.shard(plan_.shardOfNode(id)), id, *mesh_,
+            name + ".node" + std::to_string(id), engine_, id, *mesh_,
             cfgs[id]));
     }
     booted_.assign(nodes_.size(), false);
@@ -113,13 +104,11 @@ System::System(std::string name, unsigned width, unsigned height,
     }
     if (any_credits) {
         creditFabric_ =
-            std::make_unique<transport::CreditFabric>(engine_, plan_);
+            std::make_unique<transport::CreditFabric>(engine_);
         for (auto &n : nodes_) {
             auto *p = n->transportPolicy();
-            if (p && p->wantsCredits()) {
-                creditFabric_->addSender(n->id(), p,
-                                         queueForNode(n->id()));
-            }
+            if (p && p->wantsCredits())
+                creditFabric_->addSender(n->id(), p);
             n->ni().setCreditFabric(creditFabric_.get());
         }
     }
@@ -129,8 +118,7 @@ System::~System()
 {
     // Every component is still alive here: the one point where the
     // task's registry (if any) copies the final values.
-    for (unsigned s = 0; s < engine_.numShards(); ++s)
-        metrics::snapshot(engine_.shard(s), engine_.curTick());
+    metrics::snapshot(engine_, engine_.curTick());
 }
 
 bool

@@ -22,7 +22,6 @@
 #include "mem/memory.hh"
 #include "ni/network_interface.hh"
 #include "noc/mesh.hh"
-#include "sim/shards.hh"
 #include "transport/fabric.hh"
 
 namespace tcpni
@@ -93,15 +92,8 @@ class Node
 };
 
 /**
- * A width x height mesh machine.
- *
- * The machine is driven by a ShardedEngine: with the default single
- * shard it behaves bit-identically to the classic one-global-queue
- * simulator; with S > 1 the mesh rows are banded into S partitions
- * (ShardPlan::rows), every node's components are constructed against
- * their shard's event queue, and the engine advances the shards under
- * conservative lookahead.  Sharded runs produce the same final
- * statistics as single-shard runs (see the shard fuzz suite).
+ * A width x height mesh machine, driven by one event queue that every
+ * component of every node schedules on.
  */
 class System
 {
@@ -117,13 +109,7 @@ class System
            const std::vector<NodeConfig> &cfgs,
            EventQueue::Impl eq_impl = EventQueue::Impl::calendar);
 
-    /** Sharded construction: @p shards event queues (clamped to
-     *  [1, height]) advanced by the engine's lookahead scheduler. */
-    System(std::string name, unsigned width, unsigned height,
-           const std::vector<NodeConfig> &cfgs, unsigned shards,
-           EventQueue::Impl eq_impl = EventQueue::Impl::calendar);
-
-    /** Snapshots the telemetry of every shard queue into this
+    /** Snapshots the telemetry of the machine's queue into this
      *  thread's metrics registry, if one is installed. */
     ~System();
 
@@ -134,30 +120,13 @@ class System
 
     Node &node(NodeId id) { return *nodes_.at(id); }
 
-    /** Shard 0's queue: the only queue of an unsharded machine (kept
-     *  for harnesses that schedule their own events; sharded
-     *  harnesses must use queueForNode()). */
-    EventQueue &eventq() { return engine_.shard(0); }
-
-    ShardedEngine &engine() { return engine_; }
+    /** The machine's event queue (harnesses schedule their own
+     *  events here). */
+    EventQueue &engine() { return engine_; }
     MeshNetwork &mesh() { return *mesh_; }
 
-    /** Tick of the last processed event, across all shards. */
+    /** Tick of the last processed event. */
     Tick curTick() const { return engine_.curTick(); }
-
-    unsigned
-    shardOfNode(NodeId id) const
-    {
-        return plan_.shardOfNode(id);
-    }
-
-    /** The event queue @p id's components live on; harness events
-     *  touching node @p id must be scheduled here. */
-    EventQueue &
-    queueForNode(NodeId id)
-    {
-        return engine_.shard(plan_.shardOfNode(id));
-    }
 
     /**
      * Run until every booted CPU halts and the network drains, or
@@ -188,8 +157,7 @@ class System
         f(mesh_->stats());
     }
 
-    ShardPlan plan_;
-    ShardedEngine engine_;
+    EventQueue engine_;
     std::unique_ptr<MeshNetwork> mesh_;
     std::vector<std::unique_ptr<Node>> nodes_;
     std::unique_ptr<transport::CreditFabric> creditFabric_;

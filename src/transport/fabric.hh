@@ -1,42 +1,25 @@
 /**
  * @file
  * The credit fabric: returns delivery credits to sender-side transport
- * policies without breaking the sharded engine's determinism contract.
+ * policies over a one-tick-latency hardware path.
  *
  * When a destination interface accepts a message, the sender's window
- * must reopen.  A naive "call the sender's policy from the receiver"
- * would be order-dependent: in a lockstep round the shards run their
- * same-tick batches in ascending shard order, so a sender in a lower
- * shard would observe credits from same-tick deliveries in lower
- * shards but not higher ones -- and the observed set would change with
- * the shard count.
- *
- * The fabric therefore models credit return as a one-tick-latency
- * hardware path, mirroring the mesh's own cross-shard protocol:
+ * must reopen.  Rather than call the sender's policy from the
+ * receiver, the fabric queues the credit and hands it over a tick
+ * later:
  *
  *  - noteDelivered(src, dst, T) appends a (T, dst) entry to the
- *    sender's pending list (appends are commutative: the list is
- *    folded into per-destination sums, so the within-tick append order
- *    -- the only thing that varies across shard counts -- is
- *    invisible), and schedules the sender's drain event at T + 1 on
- *    the *sender's* queue.  If the delivering node lives in a
- *    different shard, noteCrossShardPush() collapses any solo window,
- *    exactly as the mesh does when it hands a message across a
- *    boundary.
+ *    sender's pending list and schedules the sender's drain event at
+ *    T + 1.
  *
  *  - The drain event at tick D folds only entries with tick < D
- *    (ordered by destination, summed per destination) into
- *    Policy::onCredit() and reschedules for the remainder.  Entries
- *    born at D itself are excluded deliberately: whether they were
- *    appended before or after the drain fired is the one thing that
- *    differs between a single global queue (deliveries at networkPri
- *    run before the drain at niPri) and a sharded round (a lower-shard
- *    drain runs before a higher shard's same-tick deliveries), so the
- *    fold set must not depend on it.
- *
- * With this discipline the credit arrival ticks -- and therefore every
- * downstream policy decision -- are a pure function of the delivery
- * schedule, which the shard fuzz suite already proves invariant.
+ *    (summed per destination, applied in ascending destination order)
+ *    into Policy::onCredit() and reschedules for the remainder.  So
+ *    neither the order deliveries were appended within a tick nor
+ *    whether a delivery at D came before or after the drain at D can
+ *    show through: credit arrival ticks -- and therefore every
+ *    downstream policy decision -- are a pure function of the
+ *    delivery schedule.
  */
 
 #ifndef TCPNI_TRANSPORT_FABRIC_HH
@@ -48,7 +31,6 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/shards.hh"
 #include "transport/transport.hh"
 
 namespace tcpni
@@ -59,18 +41,13 @@ namespace transport
 class CreditFabric
 {
   public:
-    CreditFabric(ShardedEngine &engine, const ShardPlan &plan)
-        : engine_(engine), plan_(plan)
-    {
-    }
+    explicit CreditFabric(EventQueue &eq) : eq_(eq) {}
 
-    /** Register @p node 's policy as a credit consumer; @p eq is the
-     *  queue the node's components live on (its shard's queue). */
+    /** Register @p node 's policy as a credit consumer. */
     void
-    addSender(NodeId node, Policy *policy, EventQueue &eq)
+    addSender(NodeId node, Policy *policy)
     {
-        slots_.emplace(node,
-                       std::make_unique<Slot>(*this, node, policy, eq));
+        slots_.emplace(node, std::make_unique<Slot>(policy, eq_));
     }
 
     bool hasSender(NodeId node) const { return slots_.count(node); }
@@ -78,7 +55,7 @@ class CreditFabric
     /**
      * The interface of @p dst accepted a message from @p src at
      * @p now.  No-op unless @p src registered a credit-consuming
-     * policy.  Runs on @p dst 's queue.
+     * policy.
      */
     void
     noteDelivered(NodeId src, NodeId dst, Tick now)
@@ -88,12 +65,6 @@ class CreditFabric
             return;
         Slot &slot = *it->second;
         slot.pending.emplace_back(now, dst);
-        if (plan_.shardOfNode(dst) != plan_.shardOfNode(src)) {
-            // Same protocol as the mesh's boundary push: the sender's
-            // shard gains an event at now + 1, so a solo window in
-            // either shard may not run past it.
-            engine_.noteCrossShardPush();
-        }
         if (!slot.drain.scheduled())
             slot.eq.schedule(&slot.drain, now + 1);
     }
@@ -118,29 +89,23 @@ class CreditFabric
             Slot &slot_;
         };
 
-        Slot(CreditFabric &fabric, NodeId node, Policy *policy,
-             EventQueue &eq)
-            : fabric(fabric), node(node), policy(policy), eq(eq),
-              drain(*this)
+        Slot(Policy *policy, EventQueue &eq)
+            : policy(policy), eq(eq), drain(*this)
         {
         }
 
         void drainCredits();
 
-        CreditFabric &fabric;
-        NodeId node;
         Policy *policy;
         EventQueue &eq;
         DrainEvent drain;
 
         /** (delivery tick, destination) entries, appended in
-         *  nondecreasing tick order (the engine never runs a tick
-         *  before all earlier ticks completed everywhere). */
+         *  nondecreasing tick order. */
         std::vector<std::pair<Tick, NodeId>> pending;
     };
 
-    ShardedEngine &engine_;
-    ShardPlan plan_;
+    EventQueue &eq_;
     std::map<NodeId, std::unique_ptr<Slot>> slots_;
 };
 

@@ -142,7 +142,7 @@ TEST(HpuSystem, IdleHpuAndHostProxySleepWithTheStockKernels)
         EXPECT_FALSE(sys.run(2000));
         EXPECT_TRUE(sys.node(1).hpu()->asleep());
         EXPECT_TRUE(sys.node(1).cpu().asleep());
-        EXPECT_EQ(sys.eventq().size(), 2u);
+        EXPECT_EQ(sys.engine().size(), 2u);
         EXPECT_EQ(sys.curTick(), 2000u);
     }
 }

@@ -378,70 +378,3 @@ TEST(MeshEventDriven, DrainedRouterRefilledSameTick)
     EXPECT_EQ(mesh.latencyDist().max(), 3u);   // 2 hops
     EXPECT_TRUE(mesh.idle());
 }
-
-TEST(MeshEventDriven, UnalignedPartitionsMatchOneShard)
-{
-    // A 24x6 mesh at 4 shards: partitions start at routers 0, 48, 72
-    // and 120, so three of them begin mid-word in global router
-    // numbering.
-    // Each partition's bitmap is indexed from its own first router;
-    // the run must match one shard exactly.
-    struct Run
-    {
-        std::vector<std::vector<Word>> arrivals;
-        std::vector<uint64_t> buckets;
-        uint64_t count, sum, min, max, delivered, visits;
-    };
-    auto run = [](unsigned shards) {
-        const unsigned w = 24, h = 6, n = w * h;
-        ShardedEngine engine(shards);
-        MeshNetwork mesh("mesh", engine, ShardPlan::rows(w, h, shards),
-                         /*buffer_depth=*/2);
-        std::vector<Collector> cs;
-        sinkAll(mesh, cs);
-        // Node 0 refuses every other delivery, backing traffic up.
-        unsigned calls = 0;
-        mesh.setSink(0, [&cs, &calls](const Message &m) {
-            if (++calls % 2)
-                return false;
-            cs[0].got.push_back(m);
-            return true;
-        });
-        uint64_t x = 12345;
-        for (NodeId s = 0; s < n; ++s) {
-            for (Word k = 0; k < 2; ++k) {
-                x = x * 6364136223846793005ull + 1442695040888963407ull;
-                const NodeId d = (x >> 33) % 4 == 0 ? 0 : (x >> 40) % n;
-                EXPECT_TRUE(mesh.offer(s, makeMsg(d, s * 2 + k)));
-            }
-        }
-        engine.run();
-        Run r;
-        for (const Collector &c : cs) {
-            r.arrivals.emplace_back();
-            for (const Message &m : c.got)
-                r.arrivals.back().push_back(m.words[1]);
-        }
-        const auto &lat = mesh.latencyDist();
-        r.buckets = lat.buckets();
-        r.count = lat.count();
-        r.sum = lat.sum();
-        r.min = lat.min();
-        r.max = lat.max();
-        r.delivered = mesh.delivered();
-        r.visits = mesh.routerVisits();
-        EXPECT_TRUE(mesh.idle());
-        return r;
-    };
-    const Run one = run(1), four = run(4);
-    EXPECT_EQ(one.delivered, 24u * 6 * 2);
-    EXPECT_EQ(four.delivered, one.delivered);
-    EXPECT_EQ(four.count, one.count);
-    EXPECT_EQ(four.sum, one.sum);
-    EXPECT_EQ(four.min, one.min);
-    EXPECT_EQ(four.max, one.max);
-    EXPECT_EQ(four.buckets, one.buckets);
-    EXPECT_EQ(four.arrivals, one.arrivals);
-    // The work counter does not depend on the shard count either.
-    EXPECT_EQ(four.visits, one.visits);
-}
