@@ -13,6 +13,7 @@
 
 #include "apps/matmul.hh"
 #include "common/logging.hh"
+#include "common/stats.hh"
 #include "common/table.hh"
 #include "experiments.hh"
 #include "sim/sweep.hh"
@@ -103,33 +104,38 @@ runAblation(const exp::Context &ctx)
     if (!mm.verified)
         fatal("matrix multiply failed verification");
 
+    struct Step
+    {
+        const char *label;
+        const char *key;  //!< JSON key
+        bool hd, et, rf;
+    };
+    static const Step steps[] = {
+        {"basic", "basic", false, false, false},
+        {"+hw dispatch", "hwDispatch", true, false, false},
+        {"+encoded types", "encodedTypes", true, true, false},
+        {"+reply/forward (all)", "replyForward", true, true, true},
+    };
+    // Per placement: the four spliced steps, then the fully optimized
+    // kernels (not spliced) as the reference.
+    std::vector<std::vector<tam::Figure12Bar>> bars(3);
     for (size_t pi = 0; pi < 3; ++pi) {
-        ni::Placement p = places[pi];
-        const tam::CommCosts &basic = basics[pi];
-        const tam::CommCosts &opt = opts[pi];
+        for (const Step &s : steps) {
+            bars[pi].push_back(tam::expand(
+                mm.stats, hybrid(basics[pi], opts[pi], s.hd, s.et, s.rf)));
+        }
+        bars[pi].push_back(tam::expand(mm.stats, opts[pi]));
+    }
 
-        struct Step
-        {
-            const char *label;
-            bool hd, et, rf;
-        };
-        static const Step steps[] = {
-            {"basic", false, false, false},
-            {"+hw dispatch", true, false, false},
-            {"+encoded types", true, true, false},
-            {"+reply/forward (all)", true, true, true},
-        };
-
-        std::cout << "\n--- " << ni::placementName(p) << " ---\n";
+    for (size_t pi = 0; pi < 3; ++pi) {
+        std::cout << "\n--- " << ni::placementName(places[pi])
+                  << " ---\n";
         TextTable t;
         t.header({"Configuration", "Comm cycles", "Total cycles",
                   "vs basic"});
-        double base_total = 0;
-        for (const Step &s : steps) {
-            tam::CommCosts c = hybrid(basic, opt, s.hd, s.et, s.rf);
-            tam::Figure12Bar bar = tam::expand(mm.stats, c);
-            if (s.label[0] == 'b')
-                base_total = bar.total();
+        const double base_total = bars[pi][0].total();
+        for (size_t si = 0; si < bars[pi].size(); ++si) {
+            const tam::Figure12Bar &bar = bars[pi][si];
             char comm[32], total[32], rel[32];
             std::snprintf(comm, sizeof(comm), "%.2fM",
                           (bar.dispatch + bar.otherComm) / 1e6);
@@ -137,19 +143,31 @@ runAblation(const exp::Context &ctx)
                           bar.total() / 1e6);
             std::snprintf(rel, sizeof(rel), "-%.1f%%",
                           (1 - bar.total() / base_total) * 100);
-            t.row({s.label, comm, total, rel});
+            t.row({si < 4 ? steps[si].label
+                          : "optimized kernels (reference)",
+                   comm, total, rel});
         }
-        // The fully optimized kernels (not spliced) as the reference.
-        tam::Figure12Bar full = tam::expand(mm.stats, opt);
-        char comm[32], total[32], rel[32];
-        std::snprintf(comm, sizeof(comm), "%.2fM",
-                      (full.dispatch + full.otherComm) / 1e6);
-        std::snprintf(total, sizeof(total), "%.2fM", full.total() / 1e6);
-        std::snprintf(rel, sizeof(rel), "-%.1f%%",
-                      (1 - full.total() / base_total) * 100);
-        t.row({"optimized kernels (reference)", comm, total, rel});
         t.print(std::cout);
     }
+
+    ctx.writeJson([&](std::ostream &os) {
+        os << "{\"config\":{\"n\":" << n
+           << "},\n\"messages\":" << mm.stats.totalMessages()
+           << ",\n\"placements\":{";
+        for (size_t pi = 0; pi < 3; ++pi) {
+            os << (pi ? ",\n" : "\n") << "\""
+               << stats::jsonEscape(ni::placementName(places[pi]))
+               << "\":{";
+            for (size_t si = 0; si < bars[pi].size(); ++si) {
+                os << (si ? ",\n" : "\n") << "\""
+                   << (si < 4 ? steps[si].key : "optimizedKernels")
+                   << "\":";
+                writeBarJson(os, bars[pi][si]);
+            }
+            os << "}";
+        }
+        os << "}}\n";
+    });
 
     std::cout << "\nHardware-assisted dispatch contributes the "
                  "largest single share, matching the\npaper's "
@@ -169,7 +187,7 @@ registerAblation(exp::ExperimentRegistry &reg)
         {
             {"--n", "N", "matrix dimension", "100", false},
         },
-        false,  // no --json
+        true,   // --json: exact cycles per configuration
         false,  // no --trace
         runAblation,
     });

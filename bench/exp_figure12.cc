@@ -156,16 +156,9 @@ writeJson(std::ostream &os, unsigned n, unsigned particles,
            << stats::jsonEscape(p.name) << "\",\"messages\":" << msgs
            << ",\"flops\":" << flops << ",\"models\":{";
         for (size_t i = 0; i < p.bars.size(); ++i) {
-            const tam::Figure12Bar &b = p.bars[i];
             os << (i ? ",\n" : "\n") << "\""
-               << stats::jsonEscape(names[i]) << "\":{"
-               << "\"work\":" << jsonNum(b.work)
-               << ",\"dispatch\":" << jsonNum(b.dispatch)
-               << ",\"sending\":" << jsonNum(b.sending)
-               << ",\"otherComm\":" << jsonNum(b.otherComm)
-               << ",\"total\":" << jsonNum(b.total())
-               << ",\"commFraction\":" << jsonNum(b.commFraction())
-               << "}";
+               << stats::jsonEscape(names[i]) << "\":";
+            writeBarJson(os, p.bars[i]);
         }
         os << "}}";
     };
@@ -261,6 +254,18 @@ runFigure12(const exp::Context &ctx)
 }
 
 } // namespace
+
+void
+writeBarJson(std::ostream &os, const tam::Figure12Bar &b)
+{
+    using stats::jsonNum;
+    os << "{\"work\":" << jsonNum(b.work)
+       << ",\"dispatch\":" << jsonNum(b.dispatch)
+       << ",\"sending\":" << jsonNum(b.sending)
+       << ",\"otherComm\":" << jsonNum(b.otherComm)
+       << ",\"total\":" << jsonNum(b.total())
+       << ",\"commFraction\":" << jsonNum(b.commFraction()) << "}";
+}
 
 void
 registerFigure12(exp::ExperimentRegistry &reg)

@@ -79,12 +79,15 @@ runOffchipLatency(const exp::Context &ctx)
     t.header({"Off-chip delay", "Off-chip opt comm", "vs 2-cycle",
               "Off-chip opt total", "Off-chip basic total",
               "Register opt total"});
+    // bars[di * 3 + si]: sweep model si at delay point di.
+    std::vector<tam::Figure12Bar> bars;
+    for (const tam::CommCosts &c : costs)
+        bars.push_back(tam::expand(mm.stats, c));
     for (size_t di = 0; di < 4; ++di) {
         Cycles d = delays[di];
-        tam::Figure12Bar off = tam::expand(mm.stats, costs[di * 3]);
-        tam::Figure12Bar offb =
-            tam::expand(mm.stats, costs[di * 3 + 1]);
-        tam::Figure12Bar reg = tam::expand(mm.stats, costs[di * 3 + 2]);
+        const tam::Figure12Bar &off = bars[di * 3];
+        const tam::Figure12Bar &offb = bars[di * 3 + 1];
+        const tam::Figure12Bar &reg = bars[di * 3 + 2];
 
         double comm = off.dispatch + off.otherComm;
         if (d == 2)
@@ -103,6 +106,21 @@ runOffchipLatency(const exp::Context &ctx)
                fmt(reg.total())});
     }
     t.print(std::cout);
+
+    ctx.writeJson([&](std::ostream &os) {
+        os << "{\"config\":{\"n\":" << n
+           << "},\n\"messages\":" << mm.stats.totalMessages()
+           << ",\n\"delays\":[";
+        for (size_t di = 0; di < 4; ++di) {
+            os << (di ? ",\n" : "\n") << "{\"delay\":" << delays[di];
+            for (size_t si = 0; si < 3; ++si) {
+                os << ",\n\"" << sweep_labels[si] << "\":";
+                writeBarJson(os, bars[di * 3 + si]);
+            }
+            os << "}";
+        }
+        os << "]}\n";
+    });
 
     std::cout
         << "\nThe register-mapped column is latency-immune, while the "
@@ -128,7 +146,7 @@ registerOffchipLatency(exp::ExperimentRegistry &reg)
         {
             {"--n", "N", "matrix dimension", "100", false},
         },
-        false,  // no --json
+        true,   // --json: exact cycles per delay and model
         false,  // no --trace
         runOffchipLatency,
     });

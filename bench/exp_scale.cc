@@ -156,7 +156,7 @@ runScale(const exp::Context &ctx)
     const unsigned hotspot = ctx.u32("--hotspot-permille");
     sys::TrafficConfig tc;
     tc.messages = static_cast<uint64_t>(ctx.num("--msgs"));
-    tc.meanGap = static_cast<Tick>(ctx.num("--gap"));
+    tc.meanGap = ctx.u32("--gap");
     tc.seed = static_cast<uint64_t>(ctx.num("--seed"));
     if (tc.messages == 0)
         fatal("exp_scale: --msgs must be >= 1");

@@ -256,11 +256,10 @@ runServeExp(const exp::Context &ctx)
     tc.seed = static_cast<uint64_t>(ctx.num("--seed"));
     if (tc.messages == 0)
         fatal("exp_serve: --msgs must be >= 1");
-    const Tick gap = static_cast<Tick>(ctx.num("--gap"));
+    const Tick gap = ctx.u32("--gap");
     if (gap == 0)
         fatal("exp_serve: --gap must be >= 1");
-    const Tick incast_gap_req =
-        static_cast<Tick>(ctx.num("--incast-gap"));
+    const Tick incast_gap_req = ctx.u32("--incast-gap");
 
     transport::TransportConfig xc;
     xc.window = ctx.u32("--window");

@@ -11,12 +11,20 @@
 #ifndef TCPNI_BENCH_EXPERIMENTS_HH
 #define TCPNI_BENCH_EXPERIMENTS_HH
 
+#include <iosfwd>
+
 #include "sim/experiment.hh"
+#include "tam/expand.hh"
 
 namespace tcpni
 {
 namespace bench
 {
+
+/** Write @p b as the JSON object the Figure 12, ablation and off-chip
+ *  outputs share: work, dispatch, sending, otherComm and total cycles,
+ *  and commFraction. */
+void writeBarJson(std::ostream &os, const tam::Figure12Bar &b);
 
 void registerTable1(exp::ExperimentRegistry &reg);
 void registerFigure12(exp::ExperimentRegistry &reg);

@@ -1,15 +1,17 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulator substrates: event
- * queue, mesh network, network interface, assembler, CPU model, and
- * TAM interpreter throughput.  These guard the simulator's own
- * performance (host-side), not the simulated machine's.
+ * queue, mesh network, network interface, assembler, CPU model,
+ * traffic-generator arrival clock, and TAM interpreter throughput.
+ * These guard the simulator's own performance (host-side), not the
+ * simulated machine's.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "apps/matmul.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "cpu/cpu.hh"
 #include "msg/kernels.hh"
 #include "ni/ni_regs.hh"
@@ -162,6 +164,25 @@ BM_IdleServer(benchmark::State &state)
     state.counters["events_per_cycle"] = events / cycles;
 }
 BENCHMARK(BM_IdleServer)->Arg(1000)->Arg(100000);
+
+void
+BM_GeometricGap(benchmark::State &state)
+{
+    // The traffic layer's arrival clock: one poisson gap (or bursty
+    // burst length) of mean m per iteration, reported as Bernoulli
+    // trials (next32() draws) per second.
+    const uint32_t m = static_cast<uint32_t>(state.range(0));
+    Random rng(1);
+    int64_t trials = 0;
+    for (auto _ : state) {
+        (void)_;
+        uint64_t g = rng.geometric(m);
+        benchmark::DoNotOptimize(g);
+        trials += static_cast<int64_t>(g);
+    }
+    state.SetItemsProcessed(trials);
+}
+BENCHMARK(BM_GeometricGap)->Arg(8)->Arg(472)->Arg(4096);
 
 void
 BM_TamMatMul(benchmark::State &state)

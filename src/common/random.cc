@@ -1,11 +1,40 @@
 #include "common/random.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
 
 namespace tcpni
 {
+
+namespace
+{
+
+uint32_t
+rotl(uint32_t x, int k)
+{
+    return (x << k) | (x >> (32 - k));
+}
+
+/** One xoshiro128** step on the state @p s. */
+uint32_t
+step(uint32_t *s)
+{
+    uint32_t result = rotl(s[1] * 5, 7) * 9;
+    uint32_t t = s[1] << 9;
+
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 11);
+
+    return result;
+}
+
+} // namespace
 
 Random::Random(uint64_t seed_val)
 {
@@ -35,17 +64,23 @@ Random::seed(uint64_t seed_val)
 uint32_t
 Random::next32()
 {
-    uint32_t result = rotl(s_[1] * 5, 7) * 9;
-    uint32_t t = s_[1] << 9;
+    return step(s_);
+}
 
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 11);
-
-    return result;
+uint64_t
+Random::geometric(uint32_t m)
+{
+    if (m <= 1)
+        return 1;
+    const uint64_t c = divisorConstant(m);
+    // Run the trials on a local copy of the state so it stays in
+    // registers across the loop.
+    uint32_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+    uint64_t g = 1;
+    while (!divisibleBy(step(s), c))
+        ++g;
+    std::copy(s, s + 4, s_);
+    return g;
 }
 
 uint64_t

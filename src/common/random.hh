@@ -44,12 +44,36 @@ class Random
     /** Bernoulli trial: true with probability p. */
     bool chance(double p);
 
+    /**
+     * Geometric draw with mean @p m: the number of next32() draws up
+     * to and including the first multiple of @p m.  For m <= 1 it
+     * returns 1 and draws nothing.  The draws (and so the stream
+     * position afterwards) are exactly those of the trial loop
+     * `g = 1; while (m > 1 && next32() % m) ++g;`, but each trial is
+     * tested with a multiply instead of a divide (see divisibleBy()).
+     */
+    uint64_t geometric(uint32_t m);
+
+    /**
+     * Divisibility constant of @p m >= 1 for divisibleBy():
+     * ceil(2^64 / m), which wraps to 0 for m == 1.
+     */
+    static constexpr uint64_t divisorConstant(uint32_t m) {
+        return UINT64_MAX / m + 1;
+    }
+
+    /**
+     * True iff @p x is a multiple of the m whose divisorConstant() is
+     * @p c (Lemire, Kaser & Kurz, "Faster Remainder by Direct
+     * Computation", 2019).  Exact for every 32-bit x and m >= 1: the
+     * paper's condition 64 >= 32 + log2(m) holds for any 32-bit m.
+     */
+    static constexpr bool divisibleBy(uint32_t x, uint64_t c) {
+        return static_cast<uint64_t>(x) * c <= c - 1;
+    }
+
   private:
     uint32_t s_[4];
-
-    static uint32_t rotl(uint32_t x, int k) {
-        return (x << k) | (x >> (32 - k));
-    }
 };
 
 } // namespace tcpni

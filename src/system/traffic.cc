@@ -40,6 +40,14 @@ TrafficGen::TrafficGen(System &sys, NodeId node,
       rngDst_(cfg.seed ^ (0xC2B2AE3D27D4EB4FULL * (node + 1))),
       sendEvent_(*this), arrivalEvent_(*this), serviceEvent_(*this)
 {
+    // Random::geometric takes a 32-bit mean; refuse a wider one
+    // rather than truncate it.
+    if (cfg.meanGap > UINT32_MAX)
+        fatal("TrafficGen: meanGap %llu exceeds %u",
+              static_cast<unsigned long long>(cfg.meanGap), UINT32_MAX);
+    if (cfg.burstLen > UINT32_MAX)
+        fatal("TrafficGen: burstLen %llu exceeds %u",
+              static_cast<unsigned long long>(cfg.burstLen), UINT32_MAX);
 }
 
 bool
@@ -78,14 +86,10 @@ TrafficGen::nextGap()
         Tick span = cfg_.meanGap > 1 ? 2 * cfg_.meanGap - 1 : 1;
         return 1 + rng_.next64() % span;
       }
-      case Arrival::poisson: {
+      case Arrival::poisson:
         // Geometric with mean meanGap: the integer analog of
         // exponential inter-arrivals (memoryless in whole ticks).
-        Tick g = 1;
-        while (cfg_.meanGap > 1 && rng_.next32() % cfg_.meanGap)
-            ++g;
-        return g;
-      }
+        return rng_.geometric(static_cast<uint32_t>(cfg_.meanGap));
       case Arrival::bursty: {
         if (burstLeft_ > 1) {
             --burstLeft_;
@@ -95,9 +99,8 @@ TrafficGen::nextGap()
         // length and an off gap sized so the long-run rate matches
         // `uniform` at the same meanGap (L intents per L*meanGap
         // ticks on average).
-        uint64_t len = 1;
-        while (cfg_.burstLen > 1 && rng_.next32() % cfg_.burstLen)
-            ++len;
+        uint64_t len =
+            rng_.geometric(static_cast<uint32_t>(cfg_.burstLen));
         burstLeft_ = len;
         Tick mean_off =
             len * (cfg_.meanGap > 1 ? cfg_.meanGap - 1 : 0) + 1;

@@ -84,7 +84,7 @@ enum class Pattern : uint8_t
 struct TrafficConfig
 {
     uint64_t messages = 10;       //!< sends per node
-    Tick meanGap = 20;            //!< mean inter-send gap (ticks)
+    Tick meanGap = 20;            //!< mean inter-send gap (ticks, < 2^32)
     unsigned hotspotPermille = 0; //!< ‰ of traffic aimed at node 0
     uint64_t seed = 1;            //!< run seed (mixed with the node id)
 
@@ -98,7 +98,7 @@ struct TrafficConfig
     /** Receiver-side service time per message (0: drain instantly). */
     Tick serviceTime = 0;
 
-    /** bursty: mean messages per on-period (geometric). */
+    /** bursty: mean messages per on-period (geometric, < 2^32). */
     uint64_t burstLen = 8;
 };
 
@@ -112,6 +112,7 @@ Pattern patternFromName(const std::string &name);
 class TrafficGen
 {
   public:
+    /** fatal()s if cfg.meanGap or cfg.burstLen exceeds UINT32_MAX. */
     TrafficGen(System &sys, NodeId node, const TrafficConfig &cfg);
 
     /** Install the interrupt sink, enable interrupt-driven reception,

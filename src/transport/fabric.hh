@@ -50,8 +50,6 @@ class CreditFabric
         slots_.emplace(node, std::make_unique<Slot>(policy, eq_));
     }
 
-    bool hasSender(NodeId node) const { return slots_.count(node); }
-
     /**
      * The interface of @p dst accepted a message from @p src at
      * @p now.  No-op unless @p src registered a credit-consuming

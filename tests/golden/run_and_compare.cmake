@@ -14,6 +14,9 @@
 #   build/bench/tcpni_bench figure12 --n 8 --particles 2 \
 #       --json tests/golden/figure12.json
 #   build/bench/tcpni_bench ablation 2>/dev/null > tests/golden/ablation.txt
+#   build/bench/tcpni_bench ablation --json tests/golden/ablation.json
+#   build/bench/tcpni_bench offchip_latency \
+#       --json tests/golden/offchip_latency.json
 
 separate_arguments(ARGS)
 

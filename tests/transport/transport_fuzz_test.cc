@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "system/system.hh"
 #include "system/traffic.hh"
@@ -129,4 +130,31 @@ TEST(TransportFuzz, ExactlyOnceDelivery)
             }
         }
     }
+}
+
+TEST(TrafficGen, RefusesMeansWiderThan32Bits)
+{
+    sys::NodeConfig cfg;
+    cfg.memBytes = 1 << 12;
+    sys::System machine("wide", 2, 1, cfg);
+    sys::TrafficConfig tc;
+    tc.meanGap = uint64_t(UINT32_MAX) + 1;
+    try {
+        sys::TrafficGen gen(machine, 0, tc);
+        FAIL() << "meanGap 2^32 accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("meanGap"), std::string::npos)
+            << e.what();
+    }
+    tc.meanGap = UINT32_MAX;
+    tc.burstLen = uint64_t(UINT32_MAX) + 1;
+    try {
+        sys::TrafficGen gen(machine, 0, tc);
+        FAIL() << "burstLen 2^32 accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("burstLen"), std::string::npos)
+            << e.what();
+    }
+    tc.burstLen = UINT32_MAX;
+    EXPECT_NO_THROW(sys::TrafficGen(machine, 0, tc));
 }
